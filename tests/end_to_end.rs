@@ -148,3 +148,67 @@ fn surrogate_and_real_agree_that_original_is_lossless() {
         );
     }
 }
+
+/// Golden CRC-32 of the all-shared B1 model's serialized state dict after
+/// two distillation fine-tune epochs on the smoke profile. The teachers it
+/// starts from are trained in the same run, so this pins the bit patterns
+/// of every training-path kernel (conv forward/backward above all) end to
+/// end.
+const FINETUNE_MODEL_BYTES_CRC: u32 = 0x7996_d966;
+
+#[test]
+fn finetuned_model_bytes_match_golden_hash() {
+    use gmorph::graph::parser::extract_weights;
+    use gmorph::graph::persist::encode_model_bytes;
+    use gmorph::perf::accuracy::{finetune, FinetuneConfig};
+    use gmorph::search::evaluator::EvalMode;
+    use gmorph::tensor::checkpoint::crc32;
+
+    let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), 21).unwrap();
+    let session = Session::prepare(
+        bench,
+        &SessionConfig {
+            teacher: gmorph::models::train::TrainConfig {
+                epochs: 1,
+                batch: 32,
+                lr: 3e-3,
+                seed: 21,
+            },
+            seed: 21,
+            use_cache: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let EvalMode::Real(ctx) = session.eval_mode(AccuracyMode::Real).unwrap() else {
+        panic!("real eval mode expected");
+    };
+    let (graph, _) = session.all_shared().unwrap();
+    let mut tree = session.materialize(&graph, &session.weights).unwrap();
+    let cfg = FinetuneConfig {
+        max_epochs: 2,
+        batch: 64,
+        eval_every: 2,
+        target_drop: -1.0,
+        early_termination: false,
+        seed: 21,
+        ..Default::default()
+    };
+    let result = finetune(
+        &mut tree,
+        &ctx.train_inputs,
+        &ctx.targets,
+        &ctx.test,
+        &ctx.teacher_scores,
+        &cfg,
+    )
+    .unwrap();
+    assert_eq!(result.epochs_run, 2);
+    let bytes = encode_model_bytes(&graph, &extract_weights(&tree)).unwrap();
+    assert_eq!(
+        crc32(&bytes),
+        FINETUNE_MODEL_BYTES_CRC,
+        "fine-tuned model bytes changed: 0x{:08x}",
+        crc32(&bytes)
+    );
+}
