@@ -5,7 +5,9 @@ use crate::init;
 use crate::param::Parameter;
 use crate::Mode;
 use gmorph_tensor::buffer;
-use gmorph_tensor::conv::{conv2d_backward_geom, conv2d_forward_act, Conv2dForward, Conv2dGeom};
+use gmorph_tensor::conv::{
+    conv2d_backward_geom, conv2d_forward, conv2d_infer_act, Conv2dForward, Conv2dGeom,
+};
 use gmorph_tensor::ops::Activation;
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, Tensor, TensorError};
@@ -65,26 +67,20 @@ impl Conv2d {
 
     /// Forward pass over `[N, C_in, H, W]`.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let act = if mode == Mode::Eval {
-            self.fused_act
-        } else {
-            Activation::None
-        };
-        let mut fwd =
-            conv2d_forward_act(x, &self.weight.value, Some(&self.bias.value), self.geom, act)?;
+        if mode == Mode::Eval {
+            let (w, b) = (&self.weight.value, Some(&self.bias.value));
+            return conv2d_infer_act(x, w, b, self.geom, self.fused_act);
+        }
+        // Recycle last iteration's columns before this forward checks out
+        // its own: the same-sized buffer comes straight back, so
+        // steady-state epochs neither allocate nor park a second set of
+        // columns in the pool.
+        self.clear_cache();
+        let mut fwd = conv2d_forward(x, &self.weight.value, Some(&self.bias.value), self.geom)?;
         // Backward only needs the cached im2col columns, not the output:
         // move the output out instead of cloning it.
         let out = std::mem::replace(&mut fwd.output, Tensor::zeros(&[0]));
-        if mode == Mode::Train {
-            // Recycle last iteration's columns; the next forward's scratch
-            // checkout finds them, so steady-state epochs stop allocating.
-            self.clear_cache();
-            self.cache = Some((fwd, x.dims().to_vec()));
-        } else {
-            for c in fwd.cols {
-                buffer::recycle(c);
-            }
-        }
+        self.cache = Some((fwd, x.dims().to_vec()));
         Ok(out)
     }
 
@@ -146,9 +142,7 @@ impl Conv2d {
     /// Drops cached activations, recycling the im2col columns.
     pub fn clear_cache(&mut self) {
         if let Some((old, _)) = self.cache.take() {
-            for c in old.cols {
-                buffer::recycle(c);
-            }
+            buffer::recycle(old.cols);
         }
     }
 }

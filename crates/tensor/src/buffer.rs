@@ -159,6 +159,18 @@ fn checkout(len: usize) -> Option<Vec<f32>> {
     Some(buf)
 }
 
+/// A new zero-filled buffer for a pool miss. Its capacity is rounded up to
+/// a power of two, so once given back it lands in the bucket that serves
+/// the next request of the same length; a capacity of exactly `len` would
+/// land one bucket lower, where such requests never look, and the pool
+/// would fill with buffers that only smaller requests can use. Only the
+/// first `len` elements are touched.
+fn fresh(len: usize) -> Vec<f32> {
+    let mut buf = Vec::with_capacity(len.next_power_of_two());
+    buf.resize(len, 0.0);
+    buf
+}
+
 /// Checks out a zero-filled buffer of exactly `len` elements.
 ///
 /// Use for accumulation targets (GEMM output, gradient sums) that assume
@@ -178,7 +190,7 @@ pub fn take(len: usize) -> Vec<f32> {
         }
         None => {
             gmorph_telemetry::counter!("pool.miss");
-            vec![0.0; len]
+            fresh(len)
         }
     }
 }
@@ -207,7 +219,7 @@ pub fn take_uninit(len: usize) -> Vec<f32> {
         }
         None => {
             gmorph_telemetry::counter!("pool.miss");
-            vec![0.0; len]
+            fresh(len)
         }
     }
 }
