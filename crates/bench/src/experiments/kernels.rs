@@ -6,22 +6,23 @@
 //!
 //! ```json
 //! {
-//!   "nproc": 2, "threads": 2, "pool": true,
+//!   "nproc": 2, "threads": 2, "pool": true, "simd": "avx2",
 //!   "records": [{"op", "shape", "threads", "ns_per_iter"}, ...]
 //! }
 //! ```
 //!
 //! `nproc` is the machine's available parallelism, `threads` the engine's
-//! configured thread count and `pool` whether the buffer pool is on; each
-//! record carries the thread cap it ran under. Conv records time
-//! `conv_fwd` (`conv2d_forward`) and `conv_bwd` (`conv2d_backward_geom`)
-//! on each of the tower's eight layers at the fine-tuning batch of 64,
-//! plus `conv_tower_fwd_bwd`, their sum.
+//! configured thread count, `pool` whether the buffer pool is on and `simd`
+//! which instance of the kernel bodies runs (`"avx2"` or `"portable"`, see
+//! `gmorph_tensor::simd`); each record carries the thread cap it ran
+//! under. Conv records time `conv_fwd` (`conv2d_forward`) and `conv_bwd`
+//! (`conv2d_backward_geom`) on each of the tower's eight layers at the
+//! fine-tuning batch of 64, plus `conv_tower_fwd_bwd`, their sum.
 
 use crate::ExperimentOpts;
 use gmorph::tensor::conv::{conv2d_backward_geom, conv2d_forward, Conv2dGeom};
 use gmorph::tensor::rng::Rng;
-use gmorph::tensor::{buffer, engine, gemm, Tensor};
+use gmorph::tensor::{buffer, engine, gemm, simd, Tensor};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -155,18 +156,20 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
 
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "nproc {nproc}, threads {}, pool {}",
+        "nproc {nproc}, threads {}, pool {}, simd {}",
         engine::num_threads(),
-        buffer::enabled()
+        buffer::enabled(),
+        simd::instance()
     );
     println!(
         "{:<20} {:>18} {:>8} {:>14}",
         "op", "shape", "threads", "ns/iter"
     );
     let mut json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"threads\": {},\n  \"pool\": {},\n  \"records\": [\n",
+        "{{\n  \"nproc\": {nproc},\n  \"threads\": {},\n  \"pool\": {},\n  \"simd\": \"{}\",\n  \"records\": [\n",
         engine::num_threads(),
-        buffer::enabled()
+        buffer::enabled(),
+        simd::instance()
     );
     for (i, r) in records.iter().enumerate() {
         println!(
@@ -212,6 +215,7 @@ mod tests {
         assert!(text.trim_start().starts_with('{'));
         assert!(text.contains("\"nproc\": "));
         assert!(text.contains("\"pool\": "));
+        assert!(text.contains("\"simd\": \"avx2\"") || text.contains("\"simd\": \"portable\""));
         assert!(text.contains("\"op\": \"gemm_blocked\""));
         assert!(text.contains("\"op\": \"gemm_naive\""));
         assert!(text.contains("\"op\": \"conv_fwd\""));

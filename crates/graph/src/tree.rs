@@ -184,8 +184,11 @@ impl TreeModel {
                     })
                 }
             };
-            let gin = self.nodes[i].block.backward(&g)?;
-            if let Some(p) = self.nodes[i].parent {
+            // A root's input gradient would be dropped: let the block skip
+            // computing it where it can.
+            let parent = self.nodes[i].parent;
+            let gin = self.nodes[i].block.backward_with(&g, parent.is_some())?;
+            if let (Some(p), Some(gin)) = (parent, gin) {
                 match &mut pending[p] {
                     Some(acc) => acc.add_assign(&gin)?,
                     slot => *slot = Some(gin),

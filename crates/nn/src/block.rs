@@ -676,11 +676,22 @@ impl Block {
 
     /// Backward pass; returns the gradient with respect to the input.
     pub fn backward(&mut self, grad_y: &Tensor) -> Result<Tensor> {
-        match self {
+        let gx = self.backward_with(grad_y, true)?;
+        Ok(gx.expect("input gradient requested"))
+    }
+
+    /// Backward pass that accumulates the parameter gradients and returns
+    /// the input gradient only when `input_grad` is set. Without it, the
+    /// conv-first blocks (`ConvRelu`, `ConvBnRelu`, `Residual`) skip the
+    /// input-gradient lowering of the convs that read their input; other
+    /// blocks compute the input gradient and drop it. Parameter gradients
+    /// are the same bits either way.
+    pub fn backward_with(&mut self, grad_y: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
+        let gx = match self {
             Block::ConvRelu { conv, cache_pre } => {
                 let pre = cache_pre.as_ref().ok_or_else(|| no_cache("ConvRelu"))?;
                 let g = ops::relu_backward(grad_y, pre)?;
-                conv.backward(&g)
+                return conv.backward_with(&g, input_grad);
             }
             Block::ConvBnRelu {
                 conv,
@@ -689,7 +700,7 @@ impl Block {
             } => {
                 let pre = cache_pre.as_ref().ok_or_else(|| no_cache("ConvBnRelu"))?;
                 let g = ops::relu_backward(grad_y, pre)?;
-                conv.backward(&bn.backward(&g)?)
+                return conv.backward_with(&bn.backward(&g)?, input_grad);
             }
             Block::Residual {
                 conv1,
@@ -708,14 +719,17 @@ impl Block {
                 let gm = conv2.backward(&gm)?;
                 let gm = ops::relu_backward(&gm, pre1)?;
                 let gm = bn1.backward(&gm)?;
-                let mut gx = conv1.backward(&gm)?;
+                let gx = conv1.backward_with(&gm, input_grad)?;
                 // Skip path.
                 let gs = match down {
-                    Some((dc, dbn)) => dc.backward(&dbn.backward(&g2)?)?,
-                    None => g2,
+                    Some((dc, dbn)) => dc.backward_with(&dbn.backward(&g2)?, input_grad)?,
+                    None => Some(g2),
+                };
+                let (Some(mut gx), Some(gs)) = (gx, gs) else {
+                    return Ok(None);
                 };
                 gx.add_assign(&gs)?;
-                Ok(gx)
+                return Ok(Some(gx));
             }
             Block::MaxPool { cache, .. } => {
                 let (fwd, dims) = cache.as_ref().ok_or_else(|| no_cache("MaxPool"))?;
@@ -809,7 +823,8 @@ impl Block {
                     _ => Err(no_cache("Rescale")),
                 }
             }
-        }
+        };
+        gx.map(Some)
     }
 
     // ------------------------------------------------------------------
@@ -1217,6 +1232,38 @@ mod tests {
         }
         if let Block::Residual { down: d, .. } = &down {
             assert!(d.is_some());
+        }
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_keeps_parameter_gradients() {
+        let mut rng = Rng::new(4);
+        let blocks = [
+            Block::conv_relu(3, 4, &mut rng).unwrap(),
+            Block::conv_bn_relu(3, 4, 3, 2, &mut rng).unwrap(),
+            Block::residual(3, 3, 1, &mut rng).unwrap(),
+            Block::residual(3, 6, 2, &mut rng).unwrap(),
+            Block::maxpool(2),
+        ];
+        let x = Tensor::randn(&[3, 3, 8, 8], 1.0, &mut rng);
+        for block in blocks {
+            let grads = |input_grad: bool| {
+                let mut b = block.clone();
+                let y = b.forward(&x, Mode::Train).unwrap();
+                let g = Tensor::randn(y.dims(), 1.0, &mut Rng::new(5));
+                let gx = b.backward_with(&g, input_grad).unwrap();
+                let mut params = Vec::new();
+                b.visit_params_ref(&mut |p| params.push(p.grad.data().to_vec()));
+                (gx, params)
+            };
+            let (with_gx, with) = grads(true);
+            let (without_gx, without) = grads(false);
+            let what = block.describe();
+            assert_eq!(with_gx.unwrap().dims(), x.dims(), "{what}");
+            let conv_first = !matches!(block, Block::MaxPool { .. });
+            assert_eq!(without_gx.is_none(), conv_first, "{what}");
+            assert!(!with.is_empty() || !conv_first, "{what}");
+            assert_eq!(with, without, "{what}: parameter gradients differ");
         }
     }
 

@@ -6,7 +6,8 @@ use crate::param::Parameter;
 use crate::Mode;
 use gmorph_tensor::buffer;
 use gmorph_tensor::conv::{
-    conv2d_backward_geom, conv2d_forward, conv2d_infer_act, Conv2dForward, Conv2dGeom,
+    conv2d_backward_input, conv2d_backward_params, conv2d_forward, conv2d_infer_act, Conv2dForward,
+    Conv2dGeom,
 };
 use gmorph_tensor::ops::Activation;
 use gmorph_tensor::rng::Rng;
@@ -86,15 +87,28 @@ impl Conv2d {
 
     /// Backward pass: accumulates filter/bias gradients and returns dX.
     pub fn backward(&mut self, grad_y: &Tensor) -> Result<Tensor> {
+        let gx = self.backward_with(grad_y, true)?;
+        Ok(gx.expect("input gradient requested"))
+    }
+
+    /// Backward pass that accumulates filter/bias gradients and computes
+    /// dX (its GEMM and col2im) only when `input_grad` is set. The
+    /// parameter gradients do not depend on it.
+    pub fn backward_with(&mut self, grad_y: &Tensor, input_grad: bool) -> Result<Option<Tensor>> {
         let (fwd, input_dims) = self
             .cache
             .as_ref()
             .ok_or_else(|| missing_cache("Conv2d::backward"))?;
-        let grads =
-            conv2d_backward_geom(grad_y, &self.weight.value, input_dims, fwd, self.geom)?;
-        self.weight.accumulate(&grads.grad_weight)?;
-        self.bias.accumulate(&grads.grad_bias)?;
-        Ok(grads.grad_input)
+        let w = &self.weight.value;
+        let (gw, gb) = conv2d_backward_params(grad_y, w, input_dims, fwd, self.geom)?;
+        let gx = if input_grad {
+            Some(conv2d_backward_input(grad_y, w, input_dims, self.geom)?)
+        } else {
+            None
+        };
+        self.weight.accumulate(&gw)?;
+        self.bias.accumulate(&gb)?;
+        Ok(gx)
     }
 
     /// Output per-sample shape `[C, H, W]` for an input per-sample shape.

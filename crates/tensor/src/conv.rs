@@ -24,6 +24,7 @@ use crate::buffer;
 use crate::engine;
 use crate::gemm;
 use crate::ops::Activation;
+use crate::simd;
 use crate::tensor::Tensor;
 use crate::{Result, TensorError};
 
@@ -86,20 +87,31 @@ impl Conv2dGeom {
     }
 }
 
-/// Lowers one `[C, H, W]` image into a `[C*K*K, OH*OW]` column matrix,
-/// writing every element: row interiors are copied whole and only the
-/// positions that read padding are zeroed.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    img: &[f32],
+/// One image's lowering: `c` input planes of `h x w`, the geometry, and
+/// the `oh x ow` output grid.
+#[derive(Clone, Copy)]
+struct Lowering {
     c: usize,
     h: usize,
     w: usize,
     geom: Conv2dGeom,
     oh: usize,
     ow: usize,
-    col: &mut [f32],
-) {
+}
+
+/// Lowers one `[C, H, W]` image into a `[C*K*K, OH*OW]` column matrix,
+/// writing every element: row interiors are copied whole and only the
+/// positions that read padding are zeroed.
+#[inline(always)]
+fn im2col(lower: &Lowering, img: &[f32], col: &mut [f32]) {
+    let Lowering {
+        c,
+        h,
+        w,
+        geom,
+        oh,
+        ow,
+    } = *lower;
     let (k, s) = (geom.kernel, geom.stride);
     if h * w == 0 {
         // Every window lies entirely in the padding.
@@ -115,6 +127,30 @@ fn im2col(
                 let row = rows.next().expect("col holds C*K*K rows");
                 row[..y_lo * ow].fill(0.0);
                 row[y_hi * ow..].fill(0.0);
+                if s == 1 && ow == w && y_lo < y_hi {
+                    // Stride 1 and an output as wide as the input: the valid
+                    // rows are one shifted copy of the plane. Copy them in
+                    // one piece (a copy per output row costs more than the
+                    // copying on these narrow maps), then zero the columns
+                    // that read padding: the copy filled them from the
+                    // neighbouring row, or left them unwritten at the ends.
+                    let out = &mut row[y_lo * ow..y_hi * ow];
+                    let shift = kx as isize - geom.padding as isize;
+                    let start = ((y_lo + ky - geom.padding) * w) as isize + shift;
+                    let lo = ((-start).max(0) as usize).min(out.len());
+                    let end = (plane.len() as isize - start).max(0) as usize;
+                    let hi = end.min(out.len());
+                    if lo < hi {
+                        let src = (start + lo as isize) as usize;
+                        out[lo..hi].copy_from_slice(&plane[src..src + (hi - lo)]);
+                    }
+                    for x in (0..x_lo).chain(x_hi..ow) {
+                        for v in out.iter_mut().skip(x).step_by(ow) {
+                            *v = 0.0;
+                        }
+                    }
+                    continue;
+                }
                 for oy in y_lo..y_hi {
                     let out = &mut row[oy * ow..(oy + 1) * ow];
                     out[..x_lo].fill(0.0);
@@ -141,17 +177,16 @@ fn im2col(
 /// Scatters a `[C*K*K, OH*OW]` column matrix back into a zeroed `[C, H, W]`
 /// image, accumulating overlapping contributions (the adjoint of im2col).
 /// Each pixel receives its contributions in `(ky, kx)` order.
-#[allow(clippy::too_many_arguments)]
-fn col2im(
-    col: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    geom: Conv2dGeom,
-    oh: usize,
-    ow: usize,
-    img: &mut [f32],
-) {
+#[inline(always)]
+fn col2im(lower: &Lowering, col: &[f32], img: &mut [f32]) {
+    let Lowering {
+        c,
+        h,
+        w,
+        geom,
+        oh,
+        ow,
+    } = *lower;
     let (k, s) = (geom.kernel, geom.stride);
     if h * w == 0 {
         return;
@@ -181,6 +216,44 @@ fn col2im(
                     }
                 }
             }
+        }
+    }
+}
+
+simd::dispatch! {
+    /// One sample of the forward lowering: im2col into `col`, `y = W · col`,
+    /// then the fused epilogue (bias-add and activation on each channel row
+    /// while it is hot, instead of separate passes over the output).
+    fn forward_sample(
+        lower: &Lowering,
+        wmat: &gemm::PackedLhs,
+        img: &[f32],
+        bias: Option<&[f32]>,
+        act: Activation,
+        y: &mut [f32],
+        col: &mut [f32],
+    ) {
+        im2col(lower, img, col);
+        wmat.matmul_into(col, y);
+        if bias.is_none() && act == Activation::None {
+            return;
+        }
+        // Dispatch on the activation once, outside the element loop, so each
+        // arm is a tight monomorphic pass.
+        #[inline(always)]
+        fn pass(y: &mut [f32], ncols: usize, bias: Option<&[f32]>, f: impl Fn(f32) -> f32) {
+            for (co, row) in y.chunks_mut(ncols).enumerate() {
+                let bv = bias.map_or(0.0, |b| b[co]);
+                for v in row {
+                    *v = f(*v + bv);
+                }
+            }
+        }
+        let ncols = lower.oh * lower.ow;
+        match act {
+            Activation::None => pass(y, ncols, bias, |v| v),
+            Activation::Relu => pass(y, ncols, bias, |v| Activation::Relu.apply(v)),
+            Activation::Gelu => pass(y, ncols, bias, |v| Activation::Gelu.apply(v)),
         }
     }
 }
@@ -309,31 +382,20 @@ fn forward_impl(
     let col_len = ckk * ncols;
 
     let wmat = gemm::PackedLhs::new(weight.data(), false, c_out, ckk, ncols);
+    let lower = Lowering {
+        c: c_in,
+        h,
+        w,
+        geom,
+        oh,
+        ow,
+    };
+    let bias = bias.map(Tensor::data);
     // Samples are independent: each lowers its image, multiplies its
     // columns in place, and applies the epilogue while its output is hot.
     let sample = |s: usize, y: &mut [f32], col: &mut [f32]| {
         let img = &input.data()[s * img_len..(s + 1) * img_len];
-        im2col(img, c_in, h, w, geom, oh, ow, col);
-        wmat.matmul_into(col, y);
-        // Fused epilogue: bias-add and activation while writing each
-        // channel row, instead of separate passes over the output.
-        if bias.is_some() || act != Activation::None {
-            // Dispatch on the activation once, outside the element loop,
-            // so each arm is a tight monomorphic pass.
-            fn pass(yd: &mut [f32], ncols: usize, bias: Option<&Tensor>, f: impl Fn(f32) -> f32) {
-                for (co, row) in yd.chunks_mut(ncols).enumerate() {
-                    let bv = bias.map(|b| b.data()[co]).unwrap_or(0.0);
-                    for v in row {
-                        *v = f(*v + bv);
-                    }
-                }
-            }
-            match act {
-                Activation::None => pass(y, ncols, bias, |v| v),
-                Activation::Relu => pass(y, ncols, bias, |v| Activation::Relu.apply(v)),
-                Activation::Gelu => pass(y, ncols, bias, |v| Activation::Gelu.apply(v)),
-            }
-        }
+        forward_sample(&lower, &wmat, img, bias, act, y, col);
     };
     // Every element of the output (and of the kept columns) is written
     // sample by sample, so storage can come from the pool without clearing.
@@ -407,7 +469,9 @@ pub struct Conv2dGrads {
     pub grad_bias: Tensor,
 }
 
-/// Computes the backward pass of [`conv2d_forward`].
+/// Computes the backward pass of [`conv2d_forward`]: the parameter
+/// gradients of [`conv2d_backward_params`] and the input gradient of
+/// [`conv2d_backward_input`].
 ///
 /// `grad_output` must have shape `[N, C_out, OH, OW]`; `forward` is the value
 /// returned by the forward pass on the same input, and `geom` must be the
@@ -420,6 +484,24 @@ pub fn conv2d_backward_geom(
     forward: &Conv2dForward,
     geom: Conv2dGeom,
 ) -> Result<Conv2dGrads> {
+    let (grad_weight, grad_bias) =
+        conv2d_backward_params(grad_output, weight, input_dims, forward, geom)?;
+    let grad_input = conv2d_backward_input(grad_output, weight, input_dims, geom)?;
+    Ok(Conv2dGrads {
+        grad_input,
+        grad_weight,
+        grad_bias,
+    })
+}
+
+/// Validates a backward call's gradient, weight and input dims against each
+/// other, returning `(N, C_out, lowering)`.
+fn check_backward(
+    grad_output: &Tensor,
+    weight: &Tensor,
+    input_dims: &[usize],
+    geom: Conv2dGeom,
+) -> Result<(usize, usize, Lowering)> {
     let &[n, c_in, h, w] = input_dims else {
         return Err(TensorError::RankMismatch {
             op: "conv2d_backward input",
@@ -427,18 +509,8 @@ pub fn conv2d_backward_geom(
             actual: input_dims.len(),
         });
     };
-    let (c_out, k) = check_weight(weight, c_in, geom, "conv2d_backward weight")?;
-    let (oh, ow) = (forward.oh, forward.ow);
-    let ckk = c_in * k * k;
-    let ncols = oh * ow;
-    if (oh, ow) != (geom.out_size(h)?, geom.out_size(w)?) || forward.cols.dims() != [n, ckk, ncols]
-    {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward forward cache",
-            lhs: format!("[{n}, {ckk}, {ncols}]"),
-            rhs: forward.cols.shape().to_string(),
-        });
-    }
+    let (c_out, _) = check_weight(weight, c_in, geom, "conv2d_backward weight")?;
+    let (oh, ow) = (geom.out_size(h)?, geom.out_size(w)?);
     if grad_output.dims() != [n, c_out, oh, ow] {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_backward",
@@ -446,9 +518,40 @@ pub fn conv2d_backward_geom(
             rhs: grad_output.shape().to_string(),
         });
     }
+    let lower = Lowering {
+        c: c_in,
+        h,
+        w,
+        geom,
+        oh,
+        ow,
+    };
+    Ok((n, c_out, lower))
+}
+
+/// The parameter gradients of a convolution, `(dW, db)` with dW shaped
+/// `[C_out, C_in, K, K]` and db `[C_out]`, from the columns its forward
+/// pass kept. Arguments as for [`conv2d_backward_geom`].
+pub fn conv2d_backward_params(
+    grad_output: &Tensor,
+    weight: &Tensor,
+    input_dims: &[usize],
+    forward: &Conv2dForward,
+    geom: Conv2dGeom,
+) -> Result<(Tensor, Tensor)> {
+    let (n, c_out, lower) = check_backward(grad_output, weight, input_dims, geom)?;
+    let k = geom.kernel;
+    let ckk = lower.c * k * k;
+    let ncols = lower.oh * lower.ow;
+    if (forward.oh, forward.ow) != (lower.oh, lower.ow) || forward.cols.dims() != [n, ckk, ncols] {
+        return Err(TensorError::ShapeMismatch {
+            op: "conv2d_backward forward cache",
+            lhs: format!("[{n}, {ckk}, {ncols}]"),
+            rhs: forward.cols.shape().to_string(),
+        });
+    }
     let god = grad_output.data();
     let go_len = c_out * ncols;
-    let gi_len = c_in * h * w;
 
     // dW: per-sample dY · colᵀ, summed across samples in ascending order.
     let grad_weight = gemm::matmul_nt_batch_sum(god, forward.cols.data(), c_out, ncols, ckk, n)?;
@@ -460,26 +563,54 @@ pub fn conv2d_backward_geom(
             *acc += row.iter().sum::<f32>();
         }
     }
+    Ok((grad_weight.reshape(&[c_out, lower.c, k, k])?, grad_bias))
+}
 
-    // dX: dCol = Wᵀ · dY per sample, scattered back through col2im. The
-    // dCol scratch is taken per sample, so at most one per worker is live.
-    // col2im accumulates, so grad_input starts zeroed.
+/// The input gradient of a convolution, `[N, C_in, H, W]`: `dCol = Wᵀ · dY`
+/// per sample, scattered back through col2im. It needs no forward cache.
+/// Arguments as for [`conv2d_backward_geom`].
+pub fn conv2d_backward_input(
+    grad_output: &Tensor,
+    weight: &Tensor,
+    input_dims: &[usize],
+    geom: Conv2dGeom,
+) -> Result<Tensor> {
+    let (n, c_out, lower) = check_backward(grad_output, weight, input_dims, geom)?;
+    let ckk = lower.c * geom.kernel * geom.kernel;
+    let ncols = lower.oh * lower.ow;
+    let god = grad_output.data();
+    let go_len = c_out * ncols;
+    let gi_len = lower.c * lower.h * lower.w;
+
+    // The dCol scratch is taken per sample, so at most one per worker is
+    // live. col2im accumulates, so grad_input starts zeroed.
     let mut grad_input = buffer::take(n * gi_len);
     let wt = gemm::PackedLhs::new(weight.data(), true, ckk, c_out, ncols);
     if gi_len > 0 {
         engine::parallel_chunks_mut(&mut grad_input, gi_len, |s, gi| {
             let mut gcol = buffer::take_uninit(ckk * ncols);
-            wt.matmul_into(&god[s * go_len..(s + 1) * go_len], &mut gcol);
-            col2im(&gcol, c_in, h, w, geom, oh, ow, gi);
+            let dy = &god[s * go_len..(s + 1) * go_len];
+            input_grad_sample(&lower, &wt, dy, &mut gcol, gi);
             buffer::give(gcol);
         });
     }
     wt.finish(n);
-    Ok(Conv2dGrads {
-        grad_input: Tensor::from_vec(&[n, c_in, h, w], grad_input)?,
-        grad_weight: grad_weight.reshape(&[c_out, c_in, k, k])?,
-        grad_bias,
-    })
+    Tensor::from_vec(input_dims, grad_input)
+}
+
+simd::dispatch! {
+    /// One sample of the input gradient: `gcol = Wᵀ · dy`, then col2im into
+    /// the zeroed `gi`.
+    fn input_grad_sample(
+        lower: &Lowering,
+        wt: &gemm::PackedLhs,
+        dy: &[f32],
+        gcol: &mut [f32],
+        gi: &mut [f32],
+    ) {
+        wt.matmul_into(dy, gcol);
+        col2im(lower, gcol, gi);
+    }
 }
 
 #[cfg(test)]
@@ -541,15 +672,71 @@ mod tests {
     #[test]
     fn forward_matches_reference() {
         let mut rng = Rng::new(0);
-        for &(stride, padding) in &[(1usize, 1usize), (2, 1), (1, 0)] {
-            let geom = Conv2dGeom::new(3, stride, padding).unwrap();
-            let x = Tensor::randn(&[2, 3, 6, 6], 1.0, &mut rng);
-            let w = Tensor::randn(&[4, 3, 3, 3], 0.5, &mut rng);
+        // (height, width, kernel, stride, padding): square and non-square
+        // inputs, and maps narrower than the padding.
+        let cases = [
+            (6, 6, 3, 1, 1),
+            (6, 6, 3, 2, 1),
+            (6, 6, 3, 1, 0),
+            (5, 7, 3, 1, 1),
+            (4, 1, 5, 1, 2),
+            (3, 1, 5, 1, 2),
+            (1, 2, 5, 1, 2),
+        ];
+        for (h, wd, k, stride, padding) in cases {
+            let geom = Conv2dGeom::new(k, stride, padding).unwrap();
+            let x = Tensor::randn(&[2, 3, h, wd], 1.0, &mut rng);
+            let w = Tensor::randn(&[4, 3, k, k], 0.5, &mut rng);
             let fast = conv2d_forward(&x, &w, None, geom).unwrap().output;
             let slow = conv_ref(&x, &w, geom);
             assert_eq!(fast.dims(), slow.dims());
             for (a, b) in fast.data().iter().zip(slow.data().iter()) {
                 assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn im2col_writes_every_element() {
+        let mut rng = Rng::new(12);
+        // (height, width, kernel, stride, padding), as above plus 1×1.
+        let cases = [
+            (6, 6, 3, 1, 1),
+            (6, 6, 3, 2, 1),
+            (5, 7, 3, 1, 1),
+            (4, 1, 5, 1, 2),
+            (3, 1, 5, 1, 2),
+            (1, 2, 5, 1, 2),
+            (3, 3, 1, 1, 0),
+        ];
+        for (h, w, k, s, p) in cases {
+            let geom = Conv2dGeom::new(k, s, p).unwrap();
+            let (oh, ow) = (geom.out_size(h).unwrap(), geom.out_size(w).unwrap());
+            let c = 2;
+            let lower = Lowering {
+                c,
+                h,
+                w,
+                geom,
+                oh,
+                ow,
+            };
+            let img = Tensor::randn(&[c, h, w], 1.0, &mut rng);
+            // NaN marks any element im2col leaves unwritten.
+            let mut col = vec![f32::NAN; c * k * k * oh * ow];
+            im2col(&lower, img.data(), &mut col);
+            for (i, &v) in col.iter().enumerate() {
+                let (row, pos) = (i / (oh * ow), i % (oh * ow));
+                let (ci, ky, kx) = (row / (k * k), row / k % k, row % k);
+                let iy = (pos / ow * s + ky) as isize - p as isize;
+                let ix = (pos % ow * s + kx) as isize - p as isize;
+                let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                let want = if inside {
+                    img.data()[(ci * h + iy as usize) * w + ix as usize]
+                } else {
+                    0.0
+                };
+                assert_eq!(v.to_bits(), want.to_bits(), "{h}x{w} k{k} s{s} p{p} at {i}");
             }
         }
     }

@@ -7,7 +7,10 @@
 //! *packed* into contiguous buffers sized for cache residency, and an
 //! `MR x NR` register-tiled microkernel runs over the packed panels. The
 //! packed inner loops are plain slice iteration over fixed-width strips,
-//! which the compiler auto-vectorizes.
+//! which LLVM auto-vectorizes: 4 wide in the portable instance of each
+//! kernel body and 8 wide in its AVX2 instance, picked at run time by
+//! [`crate::simd`]. Both instances round every product and sum the same
+//! way (no FMA, same order), so they are bit-identical.
 //!
 //! Row panels of the output are dispatched across the process-wide worker
 //! pool ([`crate::engine`]). Each output element is written by exactly one
@@ -75,6 +78,7 @@ impl Epilogue<'_> {
     }
 
     /// Applies the epilogue to a chunk of whole output rows (`[rows, n]`).
+    #[inline(always)]
     fn apply(&self, rows: &mut [f32], n: usize) {
         if self.is_noop() {
             return;
@@ -83,6 +87,7 @@ impl Epilogue<'_> {
         // each arm compiles to a tight monomorphic pass — same scalar
         // sequence as the separate bias/activation passes, still
         // bit-identical.
+        #[inline(always)]
         fn pass(rows: &mut [f32], n: usize, bias: Option<&[f32]>, f: impl Fn(f32) -> f32) {
             for row in rows.chunks_mut(n) {
                 match bias {
@@ -121,6 +126,7 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 /// Packs the `kb x n` slice of logical `B` starting at depth `p0` into
 /// `NR`-wide column strips: strip `j` holds columns `j*NR ..`, laid out
 /// `p`-major (`buf[strip_base + p*NR + c]`). Columns past `n` are zero.
+#[inline(always)]
 fn pack_b(bd: &[f32], layout: Layout, k: usize, n: usize, p0: usize, kb: usize, buf: &mut [f32]) {
     let n_strips = n.div_ceil(NR);
     for js in 0..n_strips {
@@ -164,6 +170,7 @@ fn pack_b(bd: &[f32], layout: Layout, k: usize, n: usize, p0: usize, kb: usize, 
 /// into `MR`-tall row strips, `p`-major within a strip
 /// (`buf[strip_base + p*MR + r]`). Rows past `mb` are zero.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn pack_a(
     ad: &[f32],
     layout: Layout,
@@ -211,7 +218,7 @@ fn pack_a(
 /// The register-tiled microkernel: accumulates the `MR x NR` product of one
 /// packed `A` strip and one packed `B` strip over `kb` depth steps into
 /// `acc`. Fixed-width inner loops auto-vectorize.
-#[inline]
+#[inline(always)]
 fn microkernel(apack: &[f32], bpack: &[f32], kb: usize, acc: &mut [[f32; NR]; MR]) {
     for p in 0..kb {
         let av = &apack[p * MR..p * MR + MR];
@@ -297,15 +304,60 @@ fn gemm_blocked(
         bp.truncate(off);
     }
 
-    let panel_body = |apack: &mut Vec<f32>, i0: usize, crows: &mut [f32]| {
+    let panels = Panels {
+        ad,
+        a_layout,
+        bp: &bp,
+        block_off: &block_off,
+        m,
+        k,
+        n,
+        epi,
+    };
+    if m * k * n >= PAR_MIN {
+        engine::parallel_chunks_mut(out, MC * n, |panel, crows| {
+            let mut apack = buffer::take_uninit(apack_len);
+            gemm_panel(&panels, &mut apack, panel * MC, crows);
+            buffer::give(apack);
+        });
+    } else {
+        let mut apack = buffer::take_uninit(apack_len);
+        for (panel, crows) in out.chunks_mut(MC * n).enumerate() {
+            gemm_panel(&panels, &mut apack, panel * MC, crows);
+        }
+        buffer::give(apack);
+    }
+    buffer::give(bp);
+}
+
+/// What every row panel of one [`gemm_blocked`] call reads: `A`, all of `B`
+/// packed (`block_off[b]` is where depth block `b` starts in `bp`), the
+/// product's shape and its epilogue.
+struct Panels<'a> {
+    ad: &'a [f32],
+    a_layout: Layout,
+    bp: &'a [f32],
+    block_off: &'a [usize],
+    m: usize,
+    k: usize,
+    n: usize,
+    epi: Epilogue<'a>,
+}
+
+crate::simd::dispatch! {
+    /// Computes the `MC` output rows of `p` from `i0` into `crows` (`apack`
+    /// is packing scratch).
+    fn gemm_panel(p: &Panels<'_>, apack: &mut Vec<f32>, i0: usize, crows: &mut [f32]) {
+        let (m, k, n) = (p.m, p.k, p.n);
+        let n_strips = n.div_ceil(NR);
         let mb = MC.min(m - i0);
         let m_strips = mb.div_ceil(MR);
-        for b in 0..k_blocks {
+        for b in 0..k.div_ceil(KC) {
             let p0 = b * KC;
             let kb = KC.min(k - p0);
             apack.resize(m_strips * kb * MR, 0.0);
-            pack_a(ad, a_layout, m, k, i0, mb, p0, kb, apack);
-            let bblock = &bp[block_off[b]..block_off[b + 1]];
+            pack_a(p.ad, p.a_layout, m, k, i0, mb, p0, kb, apack);
+            let bblock = &p.bp[p.block_off[b]..p.block_off[b + 1]];
             for is in 0..m_strips {
                 let astrip = &apack[is * kb * MR..(is + 1) * kb * MR];
                 let rows = MR.min(mb - is * MR);
@@ -327,23 +379,8 @@ fn gemm_blocked(
         }
         // Epilogue while the panel rows are still cache-hot: every output
         // element has its final accumulated value at this point.
-        epi.apply(crows, n);
-    };
-
-    if m * k * n >= PAR_MIN {
-        engine::parallel_chunks_mut(out, MC * n, |panel, crows| {
-            let mut apack = buffer::take_uninit(apack_len);
-            panel_body(&mut apack, panel * MC, crows);
-            buffer::give(apack);
-        });
-    } else {
-        let mut apack = buffer::take_uninit(apack_len);
-        for (panel, crows) in out.chunks_mut(MC * n).enumerate() {
-            panel_body(&mut apack, panel * MC, crows);
-        }
-        buffer::give(apack);
+        p.epi.apply(crows, n);
     }
-    buffer::give(bp);
 }
 
 /// Records one GEMM call into the aggregated metrics, keyed by a
@@ -544,6 +581,7 @@ fn depth_block(m: usize, k: usize, n: usize) -> usize {
 /// Packs all of logical `A` (`[m, k]`) for depth block `kc`: block-major
 /// (the block at depth `p0` starts at `p0 * m_strips * MR`), then the
 /// `MR`-row strips of [`pack_a`]. `buf` holds `m_strips * MR * k` floats.
+#[inline(always)]
 fn pack_a_blocks(ad: &[f32], layout: Layout, m: usize, k: usize, kc: usize, buf: &mut [f32]) {
     let width = m.div_ceil(MR) * MR;
     for p0 in (0..k).step_by(kc) {
@@ -555,6 +593,7 @@ fn pack_a_blocks(ad: &[f32], layout: Layout, m: usize, k: usize, kc: usize, buf:
 
 /// Strip `is` of the depth block at `p0` in a [`pack_a_blocks`] buffer (or
 /// strip `js` of a [`pack_b`] buffer laid out the same way, with `w = NR`).
+#[inline(always)]
 fn block_strip(buf: &[f32], strips: usize, w: usize, is: usize, p0: usize, kb: usize) -> &[f32] {
     let base = p0 * strips * w + is * kb * w;
     &buf[base..base + kb * w]
@@ -630,7 +669,9 @@ impl PackedLhs {
     }
 
     /// `c = op(A) · b` for a row-major `[k, n]` `b`, read where it lies;
-    /// every element of the `[m, n]` `c` is overwritten.
+    /// every element of the `[m, n]` `c` is overwritten. Inlined into the
+    /// caller, whose per-sample body picks the [`crate::simd`] instance.
+    #[inline(always)]
     pub(crate) fn matmul_into(&self, b: &[f32], c: &mut [f32]) {
         assert!(b.len() == self.k * self.n && c.len() == self.m * self.n);
         // Full NR-wide tiles, then a 4-wide and single-column tail: columns
@@ -712,31 +753,18 @@ pub(crate) fn matmul_nt_batch_sum(
     // Strip-major result: strip `js` holds its `m_strips` tiles of `MR x NR`.
     let mut strips = buffer::take(n_strips * tiles_len);
     if tiles_len > 0 {
+        let operands = BatchStrip {
+            apack: &apack,
+            b,
+            batch,
+            m,
+            k,
+            n,
+            kc,
+        };
         engine::parallel_chunks_mut(&mut strips, tiles_len, |js, tiles| {
-            let j0 = js * NR;
-            let cols = NR.min(n - j0);
             let mut bpack = buffer::take_uninit(NR * k);
-            for s in 0..batch {
-                let bs = &b[(s * n + j0) * k..(s * n + j0 + cols) * k];
-                for p0 in (0..k).step_by(kc) {
-                    let kb = kc.min(k - p0);
-                    let block = &mut bpack[p0 * NR..(p0 + kb) * NR];
-                    pack_b(bs, Layout::Transposed, k, cols, p0, kb, block);
-                }
-                let asamp = &apack[s * a_len..(s + 1) * a_len];
-                for (is, tile) in tiles.chunks_exact_mut(MR * NR).enumerate() {
-                    let sum = tile_sum::<NR>(k, kc, |p0, kb| {
-                        (
-                            block_strip(asamp, m_strips, MR, is, p0, kb),
-                            block_strip(&bpack, 1, NR, 0, p0, kb),
-                            NR,
-                        )
-                    });
-                    for (t, v) in tile.iter_mut().zip(sum.iter().flatten()) {
-                        *t += v;
-                    }
-                }
-            }
+            batch_sum_strip(&operands, js, tiles, &mut bpack);
             buffer::give(bpack);
         });
     }
@@ -755,6 +783,53 @@ pub(crate) fn matmul_nt_batch_sum(
     buffer::give(strips);
     record_gemm(m, batch * k, n, start);
     Tensor::from_vec(&[m, n], c)
+}
+
+/// The operands of one column strip of [`matmul_nt_batch_sum`]: every
+/// sample's packed `A` (`apack`, sample after sample) and the unpacked
+/// `B_s` stored back to back in `b`.
+struct BatchStrip<'a> {
+    apack: &'a [f32],
+    b: &'a [f32],
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    kc: usize,
+}
+
+crate::simd::dispatch! {
+    /// Accumulates strip `js` of `C` (its `MR x NR` tiles, `tiles`) over
+    /// the samples of `p` in ascending order; `bpack` is `NR * k` packing
+    /// scratch.
+    fn batch_sum_strip(p: &BatchStrip<'_>, js: usize, tiles: &mut [f32], bpack: &mut [f32]) {
+        let (m, k, n, kc) = (p.m, p.k, p.n, p.kc);
+        let m_strips = m.div_ceil(MR);
+        let a_len = m_strips * MR * k;
+        let j0 = js * NR;
+        let cols = NR.min(n - j0);
+        for s in 0..p.batch {
+            let asamp = &p.apack[s * a_len..(s + 1) * a_len];
+            let bs = &p.b[(s * n + j0) * k..(s * n + j0 + cols) * k];
+            for p0 in (0..k).step_by(kc) {
+                let kb = kc.min(k - p0);
+                let block = &mut bpack[p0 * NR..(p0 + kb) * NR];
+                pack_b(bs, Layout::Transposed, k, cols, p0, kb, block);
+            }
+            for (is, tile) in tiles.chunks_exact_mut(MR * NR).enumerate() {
+                let sum = tile_sum::<NR>(k, kc, |p0, kb| {
+                    (
+                        block_strip(asamp, m_strips, MR, is, p0, kb),
+                        block_strip(bpack, 1, NR, 0, p0, kb),
+                        NR,
+                    )
+                });
+                for (t, v) in tile.iter_mut().zip(sum.iter().flatten()) {
+                    *t += v;
+                }
+            }
+        }
+    }
 }
 
 /// The seed project's single-threaded loop-order kernels.

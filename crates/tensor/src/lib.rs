@@ -34,7 +34,12 @@ pub mod pool;
 pub mod rng;
 pub mod serialize;
 pub mod shape;
+pub mod simd;
 pub mod tensor;
+
+#[cfg(test)]
+#[path = "../tests/grid/mod.rs"]
+mod grid;
 
 pub use error::{FailureKind, FaultKind, FaultSpec, GmorphError};
 pub use shape::Shape;

@@ -62,12 +62,17 @@ pub fn read_tensor(r: &mut impl Read) -> Result<Tensor> {
     }
     let mut dims = Vec::with_capacity(rank);
     for _ in 0..rank {
-        dims.push(read_u64(r)? as usize);
+        let d = read_u64(r)?;
+        dims.push(usize::try_from(d).map_err(|_| TensorError::Io(format!("dim {d} too large")))?);
     }
+    // Hostile dims can overflow the product: checked, never wrapped. Zero
+    // dims count as one, so they cannot hide an overflow among the others
+    // (shape math multiplies those too).
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d.max(1)))
+        .filter(|&bound| bound <= 1 << 28)
+        .ok_or_else(|| TensorError::Io(format!("implausible tensor dims {dims:?}")))?;
     let numel: usize = dims.iter().product();
-    if numel > 1 << 28 {
-        return Err(TensorError::Io(format!("implausible tensor size {numel}")));
-    }
     let mut bytes = vec![0u8; numel * 4];
     r.read_exact(&mut bytes).map_err(io_err)?;
     let data = bytes
@@ -178,6 +183,27 @@ mod tests {
         write_tensor(&mut buf, &t).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_tensor(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_dims_whose_product_overflows() {
+        // [2^32, 2^32]: the product wraps to 0 in a release build.
+        let mut buf = Vec::new();
+        write_u32(&mut buf, 2).unwrap();
+        write_u64(&mut buf, 1 << 32).unwrap();
+        write_u64(&mut buf, 1 << 32).unwrap();
+        let err = read_tensor(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TensorError::Io(_)), "{err}");
+        // One zero dim does not hide an overflow among the others.
+        let mut zero = Vec::new();
+        write_u32(&mut zero, 3).unwrap();
+        for d in [0, 1 << 32, 1 << 32] {
+            write_u64(&mut zero, d).unwrap();
+        }
+        assert!(matches!(
+            read_tensor(&mut zero.as_slice()),
+            Err(TensorError::Io(_))
+        ));
     }
 
     #[test]
