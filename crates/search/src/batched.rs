@@ -311,14 +311,14 @@ pub fn run_search_batched_checkpointed(
                     best_paper = cand_paper.clone();
                     best_latency = latency;
                 }
-                history.add_elite(Elite {
-                    mini: cand_mini,
-                    paper: cand_paper,
-                    weights: ev.weights,
-                    drop: ev.result.final_drop,
-                    latency_ms: latency,
-                    scores: ev.result.final_scores,
-                });
+                history.add_elite(Elite::new(
+                    cand_mini,
+                    cand_paper,
+                    ev.weights,
+                    ev.result.final_drop,
+                    latency,
+                    ev.result.final_scores,
+                ));
             } else if cfg.rule_filter {
                 rule_filter.record_failure(CapacityVector::of(&cand_mini)?);
             }

@@ -12,6 +12,16 @@
 //! skew, leftover `.tmp` staging files) are skipped with a
 //! `checkpoint.corrupt` telemetry event, falling back to the next-newest
 //! valid snapshot or a clean start — never a panic.
+//!
+//! Each iteration's snapshot costs what changed since the last one. The
+//! sequential driver encodes its live state by reference
+//! ([`SearchSnapshotRef`]) instead of cloning it into an owned snapshot;
+//! [`SearchSnapshot`] encodes through the same view, and the loop state of
+//! both snapshot kinds goes through one encoder ([`LoopStateRef`]). An
+//! elite never changes once admitted, so its record is encoded the first
+//! time a snapshot holds it, cached on the [`Elite`], and copied into
+//! every later snapshot; the bytes equal a from-scratch encoding
+//! (`tests/snapshot_encoding.rs`).
 
 use crate::driver::{BestModel, CandidateStatus, SearchConfig, TraceRecord};
 use crate::history::Elite;
@@ -145,12 +155,22 @@ fn get_scores(r: &mut ByteReader) -> Result<Vec<f32>> {
     Ok(out)
 }
 
+/// Appends an elite's record, encoding it only the first time: an elite
+/// never changes, so later snapshots copy the cached bytes.
 fn put_elite(w: &mut ByteWriter, e: &Elite) -> Result<()> {
-    w.put_bytes(&encode_model_bytes_exact(&e.mini, &e.weights)?);
-    w.put_str(&encode_graph_exact(&e.paper));
-    w.put_f32(e.drop);
-    w.put_f64(e.latency_ms);
-    put_scores(w, &e.scores);
+    let record = match e.record.get() {
+        Some(record) => record,
+        None => {
+            let mut r = ByteWriter::new();
+            r.put_bytes(&encode_model_bytes_exact(&e.mini, &e.weights)?);
+            r.put_str(&encode_graph_exact(&e.paper));
+            r.put_f32(e.drop);
+            r.put_f64(e.latency_ms);
+            put_scores(&mut r, &e.scores);
+            e.record.get_or_init(|| r.into_bytes())
+        }
+    };
+    w.put_raw(record);
     Ok(())
 }
 
@@ -160,14 +180,7 @@ fn get_elite(r: &mut ByteReader) -> Result<Elite> {
     let drop = r.get_f32()?;
     let latency_ms = r.get_f64()?;
     let scores = get_scores(r)?;
-    Ok(Elite {
-        mini,
-        paper,
-        weights,
-        drop,
-        latency_ms,
-        scores,
-    })
+    Ok(Elite::new(mini, paper, weights, drop, latency_ms, scores))
 }
 
 fn put_trace(w: &mut ByteWriter, trace: &[TraceRecord]) {
@@ -243,7 +256,35 @@ pub struct LoopState {
     pub elites: Vec<Elite>,
 }
 
-impl LoopState {
+/// Borrowed view of a [`LoopState`]: what the sequential driver hands the
+/// encoder each iteration instead of cloning its state into a snapshot.
+#[derive(Debug)]
+pub struct LoopStateRef<'a> {
+    /// Config + input-graph fingerprint the snapshot is valid for.
+    pub fingerprint: u64,
+    /// First iteration (or round) the resumed run should execute.
+    pub next_iter: usize,
+    /// RNG stream position.
+    pub rng: RngState,
+    /// SA policy's last observed drop `Δ`.
+    pub last_drop: f32,
+    /// Virtual clock's accumulated seconds.
+    pub clock_seconds: f64,
+    /// Wall-clock seconds spent before this snapshot.
+    pub wall_offset: f64,
+    /// Capacity-rule failures, in insertion order.
+    pub failures: &'a [CapacityVector],
+    /// Quarantined evaluation failures, in insertion order.
+    pub quarantined: &'a [(String, CapacityVector)],
+    /// Evaluated-candidate signatures, sorted.
+    pub evaluated: Vec<&'a str>,
+    /// Elite list, in insertion order.
+    pub elites: &'a [Elite],
+}
+
+impl LoopStateRef<'_> {
+    /// Appends the shared sections (`loop`, `rng`, `filter`, `history`):
+    /// the one encoder of loop state, for both snapshot kinds.
     fn encode_into(&self, env: &mut Envelope) -> Result<()> {
         let mut w = ByteWriter::new();
         w.put_u64(self.fingerprint);
@@ -259,11 +300,11 @@ impl LoopState {
 
         let mut w = ByteWriter::new();
         w.put_u32(self.failures.len() as u32);
-        for f in &self.failures {
+        for f in self.failures {
             put_capacity(&mut w, f);
         }
         w.put_u32(self.quarantined.len() as u32);
-        for (sig, cv) in &self.quarantined {
+        for (sig, cv) in self.quarantined {
             w.put_str(sig);
             put_capacity(&mut w, cv);
         }
@@ -275,11 +316,29 @@ impl LoopState {
             w.put_str(s);
         }
         w.put_u32(self.elites.len() as u32);
-        for e in &self.elites {
+        for e in self.elites {
             put_elite(&mut w, e)?;
         }
         env.push("history", w.into_bytes());
         Ok(())
+    }
+}
+
+impl LoopState {
+    /// Borrows this state for encoding.
+    fn view(&self) -> LoopStateRef<'_> {
+        LoopStateRef {
+            fingerprint: self.fingerprint,
+            next_iter: self.next_iter,
+            rng: self.rng.clone(),
+            last_drop: self.last_drop,
+            clock_seconds: self.clock_seconds,
+            wall_offset: self.wall_offset,
+            failures: &self.failures,
+            quarantined: &self.quarantined,
+            evaluated: self.evaluated.iter().map(String::as_str).collect(),
+            elites: &self.elites,
+        }
     }
 
     fn decode_from(env: &Envelope) -> Result<LoopState> {
@@ -356,7 +415,31 @@ pub struct SearchSnapshot {
     pub trace: Vec<TraceRecord>,
 }
 
-impl SearchSnapshot {
+/// Borrowed view of a [`SearchSnapshot`]: the sequential driver encodes
+/// its live state through this each iteration.
+#[derive(Debug)]
+pub struct SearchSnapshotRef<'a> {
+    /// Shared loop state.
+    pub state: LoopStateRef<'a>,
+    /// Best satisfying model so far.
+    pub best: &'a BestModel,
+    /// Candidates fine-tuned so far.
+    pub evaluated_count: usize,
+    /// Candidates skipped by rule-based filtering so far.
+    pub rule_filtered: usize,
+    /// Candidates terminated early so far.
+    pub early_terminated: usize,
+    /// Duplicates skipped so far.
+    pub duplicates: usize,
+    /// Candidates that failed every permitted attempt so far.
+    pub failed: usize,
+    /// Candidates skipped by quarantine so far.
+    pub quarantined_count: usize,
+    /// Per-iteration trace so far.
+    pub trace: &'a [TraceRecord],
+}
+
+impl SearchSnapshotRef<'_> {
     /// Serializes the snapshot into an envelope.
     pub fn encode(&self) -> Result<Envelope> {
         let mut env = Envelope::new(SEARCH_KIND, SEARCH_SCHEMA);
@@ -380,9 +463,31 @@ impl SearchSnapshot {
         env.push("counters", w.into_bytes());
 
         let mut w = ByteWriter::new();
-        put_trace(&mut w, &self.trace);
+        put_trace(&mut w, self.trace);
         env.push("trace", w.into_bytes());
         Ok(env)
+    }
+}
+
+impl SearchSnapshot {
+    /// Borrows this snapshot for encoding.
+    fn view(&self) -> SearchSnapshotRef<'_> {
+        SearchSnapshotRef {
+            state: self.state.view(),
+            best: &self.best,
+            evaluated_count: self.evaluated_count,
+            rule_filtered: self.rule_filtered,
+            early_terminated: self.early_terminated,
+            duplicates: self.duplicates,
+            failed: self.failed,
+            quarantined_count: self.quarantined_count,
+            trace: &self.trace,
+        }
+    }
+
+    /// Serializes the snapshot into an envelope.
+    pub fn encode(&self) -> Result<Envelope> {
+        self.view().encode()
     }
 
     /// Restores a snapshot from an envelope, checking the schema version.
@@ -455,7 +560,7 @@ impl BatchedSnapshot {
     /// Serializes the snapshot into an envelope.
     pub fn encode(&self) -> Result<Envelope> {
         let mut env = Envelope::new(BATCHED_KIND, SEARCH_SCHEMA);
-        self.state.encode_into(&mut env)?;
+        self.state.view().encode_into(&mut env)?;
 
         let mut w = ByteWriter::new();
         w.put_str(&encode_graph_exact(&self.best_mini));
@@ -593,6 +698,7 @@ impl HasFingerprint for BatchedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::History;
     use gmorph_graph::WeightStore;
     use gmorph_tensor::rng::Rng;
     use std::path::PathBuf;
@@ -642,14 +748,14 @@ mod tests {
                     },
                 )],
                 evaluated: vec!["a".to_string(), "b".to_string()],
-                elites: vec![Elite {
-                    mini: g.clone(),
-                    paper: g.clone(),
-                    weights: store.clone(),
-                    drop: 0.01,
-                    latency_ms: 3.5,
-                    scores: vec![0.9],
-                }],
+                elites: vec![Elite::new(
+                    g.clone(),
+                    g.clone(),
+                    store.clone(),
+                    0.01,
+                    3.5,
+                    vec![0.9],
+                )],
             },
             best: BestModel {
                 mini: g.clone(),
@@ -707,6 +813,43 @@ mod tests {
         assert_eq!(back.quarantined_count, 1);
         assert_eq!(back.trace.len(), 1);
         assert_eq!(back.trace[0].status, CandidateStatus::Evaluated);
+    }
+
+    #[test]
+    fn an_elite_replacing_an_evicted_one_encodes_its_own_record() {
+        let snap = sample_snapshot();
+        let base = &snap.state.elites[0];
+        let elite = |latency: f64, score: f32| {
+            Elite::new(
+                base.mini.clone(),
+                base.paper.clone(),
+                base.weights.clone(),
+                0.01,
+                latency,
+                vec![score],
+            )
+        };
+        let encode = |history: &History| {
+            let mut view = snap.view();
+            view.state.elites = history.elites();
+            view.encode().unwrap()
+        };
+        let mut history = History::new(2);
+        history.add_elite(elite(5.0, 0.5));
+        history.add_elite(elite(3.0, 0.3));
+        encode(&history); // Caches both records.
+        history.add_elite(elite(1.0, 0.1)); // Evicts the 5.0 elite in place.
+        let env = encode(&history);
+        let back = SearchSnapshot::decode(&env).unwrap();
+        let got: Vec<(f64, f32)> = back
+            .state
+            .elites
+            .iter()
+            .map(|e| (e.latency_ms, e.scores[0]))
+            .collect();
+        assert_eq!(got, vec![(1.0, 0.1), (3.0, 0.3)]);
+        // The decoded elites carry no cache: their encoding is canonical.
+        assert_eq!(back.encode().unwrap(), env);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! mutated identically), which the driver asserts every iteration.
 
 use crate::checkpoint::{
-    config_fingerprint, load_latest_search, CheckpointManager, CheckpointOptions, LoopState,
-    SearchSnapshot, SEARCH_KIND,
+    config_fingerprint, load_latest_search, CheckpointManager, CheckpointOptions, LoopStateRef,
+    SearchSnapshotRef, SEARCH_KIND,
 };
 use crate::evaluator::EvalMode;
 use crate::history::{Elite, History};
@@ -642,14 +642,14 @@ pub fn run_search_checkpointed(
             } else {
                 reason = "accepted_elite";
             }
-            history.add_elite(Elite {
-                mini: cand_mini,
-                paper: cand_paper,
-                weights: evaluation.weights,
-                drop: evaluation.result.final_drop,
-                latency_ms: cand_latency,
-                scores: evaluation.result.final_scores.clone(),
-            });
+            history.add_elite(Elite::new(
+                cand_mini,
+                cand_paper,
+                evaluation.weights,
+                evaluation.result.final_drop,
+                cand_latency,
+                evaluation.result.final_scores.clone(),
+            ));
             gmorph_telemetry::counter!("search.accepted");
         } else {
             if cfg.rule_filter {
@@ -691,31 +691,27 @@ pub fn run_search_checkpointed(
         // Snapshot the completed iteration; the manager decides whether
         // this one hits the disk now or stays pending (flushed on drop).
         if let Some(mgr) = manager.as_mut() {
-            let snapshot = SearchSnapshot {
-                state: LoopState {
+            let snapshot = SearchSnapshotRef {
+                state: LoopStateRef {
                     fingerprint,
                     next_iter: iter + 1,
                     rng: rng.state(),
                     last_drop: policy.last_drop(),
                     clock_seconds: clock.seconds(),
                     wall_offset: wall_offset + wall_start.elapsed().as_secs_f64(),
-                    failures: rule_filter.failures().to_vec(),
-                    quarantined: rule_filter.quarantined().to_vec(),
-                    evaluated: history
-                        .evaluated_signatures()
-                        .into_iter()
-                        .map(str::to_string)
-                        .collect(),
-                    elites: history.elites().to_vec(),
+                    failures: rule_filter.failures(),
+                    quarantined: rule_filter.quarantined(),
+                    evaluated: history.evaluated_signatures(),
+                    elites: history.elites(),
                 },
-                best: best.clone(),
+                best: &best,
                 evaluated_count: evaluated,
                 rule_filtered,
                 early_terminated,
                 duplicates,
                 failed,
                 quarantined_count: quarantined,
-                trace: trace.clone(),
+                trace: &trace,
             };
             mgr.tick(iter, snapshot.encode()?)?;
         }

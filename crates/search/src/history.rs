@@ -7,23 +7,65 @@
 
 use gmorph_graph::{AbsGraph, WeightStore};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// A candidate that met the accuracy target.
+///
+/// An elite never changes once built: its fields are private to this
+/// crate, which only reads them, and [`History::add_elite`] replaces an
+/// evicted elite whole. So a checkpoint encodes each elite once, caches
+/// the record on the elite, and copies it into every later snapshot.
 #[derive(Debug, Clone)]
 pub struct Elite {
     /// Mini-scale (trainable) abstract graph.
-    pub mini: AbsGraph,
+    pub(crate) mini: AbsGraph,
     /// Paper-scale (estimation) abstract graph, node-id aligned with
     /// `mini`.
-    pub paper: AbsGraph,
+    pub(crate) paper: AbsGraph,
     /// Well-trained weights of the mini-scale model.
-    pub weights: WeightStore,
+    pub(crate) weights: WeightStore,
     /// Accuracy drop achieved after fine-tuning.
-    pub drop: f32,
+    pub(crate) drop: f32,
     /// Optimized-metric value (paper-scale estimated latency, ms).
-    pub latency_ms: f64,
+    pub(crate) latency_ms: f64,
     /// Per-task scores after fine-tuning.
-    pub scores: Vec<f32>,
+    pub(crate) scores: Vec<f32>,
+    /// This elite's checkpoint record, filled by the first snapshot that
+    /// holds it (see `checkpoint::put_elite`); empty while checkpointing
+    /// is off.
+    pub(crate) record: OnceLock<Vec<u8>>,
+}
+
+impl Elite {
+    /// An elite with no cached checkpoint record yet.
+    pub(crate) fn new(
+        mini: AbsGraph,
+        paper: AbsGraph,
+        weights: WeightStore,
+        drop: f32,
+        latency_ms: f64,
+        scores: Vec<f32>,
+    ) -> Elite {
+        Elite {
+            mini,
+            paper,
+            weights,
+            drop,
+            latency_ms,
+            scores,
+            record: OnceLock::new(),
+        }
+    }
+
+    /// Accuracy drop achieved after fine-tuning.
+    pub fn accuracy_drop(&self) -> f32 {
+        self.drop
+    }
+
+    /// Optimized-metric value (paper-scale estimated latency, ms).
+    pub fn latency_ms(&self) -> f64 {
+        self.latency_ms
+    }
 }
 
 /// Evaluated-candidate and elite bookkeeping.
@@ -129,14 +171,7 @@ mod tests {
 
     fn elite(latency: f64) -> Elite {
         let g = AbsGraph::new(vec![3, 8, 8], vec![TaskSpec::classification("t", 2)]);
-        Elite {
-            mini: g.clone(),
-            paper: g,
-            weights: WeightStore::new(),
-            drop: 0.0,
-            latency_ms: latency,
-            scores: vec![0.9],
-        }
+        Elite::new(g.clone(), g, WeightStore::new(), 0.0, latency, vec![0.9])
     }
 
     #[test]

@@ -68,15 +68,60 @@ pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     hash
 }
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), bitwise, no tables.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 lookup tables for [`crc32`], built at compile time.
+///
+/// `CRC_TABLES[0][b]` is the CRC of the single byte `b`; `CRC_TABLES[k][b]`
+/// advances that by `k` zero bytes, so eight table lookups fold eight
+/// input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// IEEE CRC-32 (the zlib/PNG polynomial), slicing-by-8 over
+/// compile-time tables: the same value as the textbook bitwise loop,
+/// eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -136,6 +181,12 @@ impl ByteWriter {
     /// Appends a length-prefixed byte blob.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends bytes verbatim, with no length prefix: a record encoded
+    /// earlier by another writer.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 }
@@ -483,14 +534,24 @@ pub struct CheckpointManager {
 impl CheckpointManager {
     /// Creates a manager writing `prefix-NNNNNN.gmck` files under
     /// `opts.dir`.
+    ///
+    /// Snapshots already in `opts.dir` (a resumed run's) count toward
+    /// `keep` as older than anything this manager writes. Rotation deletes
+    /// only after a write has succeeded, so the snapshot a run resumed
+    /// from stays on disk until a newer one is durable.
     pub fn new(opts: &CheckpointOptions, prefix: &'static str) -> Self {
+        let mut on_disk: Vec<usize> = snapshot_files(&opts.dir, prefix)
+            .into_iter()
+            .map(|(iter, _)| iter)
+            .collect();
+        on_disk.reverse(); // Oldest first, like the writes appended below.
         CheckpointManager {
             dir: opts.dir.clone(),
             prefix,
             every: opts.every.max(1),
             keep: opts.keep.max(1),
             pending: None,
-            on_disk: Vec::new(),
+            on_disk,
         }
     }
 
@@ -523,6 +584,8 @@ impl CheckpointManager {
             iter = iter,
             path = path.display().to_string().as_str()
         );
+        // Rewriting an iteration already on disk replaced that file.
+        self.on_disk.retain(|&old| old != iter);
         self.on_disk.push(iter);
         while self.on_disk.len() > self.keep {
             let old = self.on_disk.remove(0);
@@ -606,11 +669,46 @@ mod tests {
         e
     }
 
+    /// The textbook bitwise CRC-32: the oracle the table version must
+    /// match bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn table_crc32_matches_bitwise_oracle() {
+        let mut rng = crate::rng::Rng::new(0xC3C3_2024);
+        let bytes: Vec<u8> = (0..10_007).map(|_| rng.below(256) as u8).collect();
+        // Every length 0..=64 covers each chunk/remainder split.
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        // Every start offset 0..8 over the long buffer shifts the chunk
+        // boundaries through all alignments.
+        for start in 0..8 {
+            let tail = &bytes[start..];
+            assert_eq!(crc32(tail), crc32_bitwise(tail), "offset {start}");
+        }
     }
 
     #[test]
@@ -673,6 +771,68 @@ mod tests {
                 Ok(env) => panic!("flip at byte {i} went undetected: {env:?}"),
             }
         }
+    }
+
+    fn on_disk_iters(dir: &Path, prefix: &str) -> Vec<usize> {
+        let mut iters: Vec<usize> = snapshot_files(dir, prefix)
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        iters.reverse();
+        iters
+    }
+
+    #[test]
+    fn rotation_counts_snapshots_left_by_an_aborted_run() {
+        let dir = std::env::temp_dir().join(format!("gmorph-ckpt-rot-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut opts = CheckpointOptions::new(&dir);
+        opts.every = 4;
+        opts.keep = 2;
+        // The first run aborts after iteration 14: no `Drop` flush, so the
+        // pending iterations 13 and 14 never reach the disk.
+        let mut first = CheckpointManager::new(&opts, "rot");
+        for iter in 1..=14 {
+            first.tick(iter, sample()).unwrap();
+        }
+        std::mem::forget(first);
+        assert_eq!(on_disk_iters(&dir, "rot"), vec![8, 12]);
+        // The resumed run continues from iteration 13. Iteration 12 (the
+        // one it resumed from) survives until 16 is on disk.
+        let mut second = CheckpointManager::new(&opts, "rot");
+        for iter in 13..=15 {
+            second.tick(iter, sample()).unwrap();
+        }
+        assert_eq!(on_disk_iters(&dir, "rot"), vec![8, 12]);
+        second.tick(16, sample()).unwrap();
+        assert_eq!(on_disk_iters(&dir, "rot"), vec![12, 16]);
+        for iter in 17..=40 {
+            second.tick(iter, sample()).unwrap();
+        }
+        drop(second);
+        assert_eq!(on_disk_iters(&dir, "rot"), vec![36, 40]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rewriting_a_snapshot_on_disk_counts_once() {
+        let dir = std::env::temp_dir().join(format!("gmorph-ckpt-rew-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut opts = CheckpointOptions::new(&dir);
+        opts.keep = 2;
+        let mut first = CheckpointManager::new(&opts, "rew");
+        for iter in 1..=2 {
+            first.tick(iter, sample()).unwrap();
+        }
+        drop(first);
+        // A run resumed from iteration 1 (say 2 was corrupt) rewrites 2.
+        let mut second = CheckpointManager::new(&opts, "rew");
+        second.tick(2, sample()).unwrap();
+        assert_eq!(on_disk_iters(&dir, "rew"), vec![1, 2]);
+        second.tick(3, sample()).unwrap();
+        assert_eq!(on_disk_iters(&dir, "rew"), vec![2, 3]);
+        drop(second);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
