@@ -212,3 +212,123 @@ fn finetuned_model_bytes_match_golden_hash() {
         crc32(&bytes)
     );
 }
+
+/// CRC-32 of every field of a search result except `wall_seconds`, floats
+/// by their bit patterns, the best model by its serialized bytes.
+fn search_result_crc(r: &SearchResult) -> u32 {
+    use gmorph::graph::persist::{encode_graph_exact, encode_model_bytes};
+    use gmorph::tensor::checkpoint::{crc32, ByteWriter};
+
+    let mut w = ByteWriter::new();
+    w.put_bytes(&encode_model_bytes(&r.best.mini, &r.best.weights).unwrap());
+    w.put_str(&encode_graph_exact(&r.best.paper));
+    w.put_f64(r.best.latency_ms);
+    w.put_f32(r.best.drop);
+    for &s in &r.best.scores {
+        w.put_f32(s);
+    }
+    w.put_f64(r.original_latency_ms);
+    w.put_f64(r.speedup);
+    w.put_f64(r.virtual_hours);
+    for n in [
+        r.evaluated,
+        r.rule_filtered,
+        r.early_terminated,
+        r.duplicates,
+        r.failed,
+        r.quarantined,
+        r.trace.len(),
+    ] {
+        w.put_u64(n as u64);
+    }
+    for t in &r.trace {
+        w.put_u64(t.iter as u64);
+        w.put_str(t.status.as_str());
+        w.put_u8(t.from_elite as u8);
+        w.put_f32(t.drop);
+        w.put_u8(t.met_target as u8);
+        w.put_f64(t.candidate_latency_ms);
+        w.put_f64(t.best_latency_ms);
+        w.put_u64(t.epochs as u64);
+        w.put_f64(t.virtual_hours);
+    }
+    crc32(&w.into_bytes())
+}
+
+/// Golden CRC-32s ([`search_result_crc`]) of four one-candidate-per-round
+/// smoke B1 searches: plain surrogate; surrogate with rule filtering,
+/// early termination and a zero budget; surrogate with a panic injected
+/// at the first evaluated iteration; a 4-iteration real-mode search. They
+/// pin the search loop's decisions, RNG consumption and bookkeeping.
+const SEARCH_RESULT_CRCS: [u32; 4] = [0x999e_9ec0, 0x211e_8528, 0x2f88_518d, 0xbae0_e4c6];
+
+#[test]
+fn search_results_match_golden_hashes() {
+    use gmorph::search::driver::run_search;
+    use gmorph::tensor::{FaultKind, FaultSpec};
+
+    let session = quick_session(BenchId::B1, 5);
+    let surrogate = OptimizationConfig {
+        accuracy_threshold: 0.02,
+        iterations: 40,
+        seed: 5,
+        ..Default::default()
+    };
+    let plain = session.optimize(&surrogate).unwrap();
+    let filtered = session
+        .optimize(&OptimizationConfig {
+            accuracy_threshold: 0.0,
+            rule_filter: true,
+            early_termination: true,
+            ..surrogate.clone()
+        })
+        .unwrap();
+    assert!(filtered.rule_filtered > 0 && filtered.early_terminated > 0);
+
+    let first_evaluated = plain
+        .trace
+        .iter()
+        .find(|t| {
+            matches!(
+                t.status,
+                CandidateStatus::Evaluated | CandidateStatus::TerminatedEarly
+            )
+        })
+        .expect("an evaluated iteration")
+        .iter;
+    let mut faulted_cfg = surrogate.to_search_config();
+    faulted_cfg.iterations = 12;
+    faulted_cfg.virtual_throughput = session.virtual_throughput;
+    faulted_cfg.supervisor.fault = Some(FaultSpec {
+        kind: FaultKind::PanicEval,
+        at_iter: first_evaluated,
+    });
+    let faulted = run_search(
+        &session.mini_graph,
+        &session.paper_graph,
+        &session.weights,
+        &session.eval_mode(AccuracyMode::Surrogate).unwrap(),
+        &faulted_cfg,
+    )
+    .unwrap();
+    assert_eq!(faulted.failed, 1);
+
+    let real = session
+        .optimize(&OptimizationConfig {
+            accuracy_threshold: 0.05,
+            iterations: 4,
+            mode: AccuracyMode::Real,
+            max_epochs: 2,
+            eval_every: 1,
+            ..surrogate.clone()
+        })
+        .unwrap();
+    assert!(real.evaluated > 0);
+
+    let got = [&plain, &filtered, &faulted, &real].map(search_result_crc);
+    assert_eq!(
+        got, SEARCH_RESULT_CRCS,
+        "search results changed: {:#010x?}",
+        got
+    );
+}
