@@ -1,56 +1,46 @@
-//! §7 extension: batched parallel search vs the sequential driver.
+//! §7 extension: parallel simulated annealing vs sequential search.
 //!
 //! The paper's discussion proposes "sampling multiple models in parallel
 //! or adopting parallel simulated annealing algorithms" to cut search
-//! time. [`gmorph::search::batched`] implements synchronous parallel SA;
-//! this experiment compares it against the sequential driver at equal
-//! candidate budgets: search quality should match (staler elite feedback
-//! costs little) while wall-clock time scales with available cores (on a
-//! single-core machine both take similar wall time — the virtual-clock
-//! column shows the cost that parallel hardware would divide).
+//! time. The search loop runs `candidates_per_round` candidates per round
+//! and fine-tunes each round's survivors concurrently; this experiment
+//! compares rounds of 2, 4 and 8 against sequential search (one per round)
+//! at equal candidate budgets: search quality should match (staler elite
+//! feedback costs little) while wall-clock time scales with available
+//! cores (on a single-core machine both take similar wall time — the
+//! virtual-clock column shows the cost that parallel hardware would
+//! divide).
 
 use crate::common::{f, paper_config, ExperimentOpts, Reporter};
 use gmorph::prelude::*;
-use gmorph::search::batched::run_search_batched;
 
-/// Runs the batched-search comparison on B1.
+/// Runs the parallel-search comparison on B1.
 pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     let reporter = Reporter::new(&opts.out_dir);
     let session = crate::common::session_for(BenchId::B1, opts)?;
     let cfg = paper_config(BenchId::B1, opts, 0.01);
-    let sc = cfg.to_search_config();
-    let mode = session.eval_mode(cfg.mode)?;
 
     let mut rows = Vec::new();
-    let t0 = std::time::Instant::now();
-    let seq = session.optimize(&cfg)?;
-    rows.push(vec![
-        "sequential".to_string(),
-        format!("{:.2}x", seq.speedup),
-        f(seq.best.latency_ms, 2),
-        f(seq.virtual_hours, 1),
-        f(t0.elapsed().as_secs_f64(), 2),
-    ]);
-    for batch in [2usize, 4, 8] {
+    for per_round in [1usize, 2, 4, 8] {
         let t0 = std::time::Instant::now();
-        let r = run_search_batched(
-            &session.mini_graph,
-            &session.paper_graph,
-            &session.weights,
-            &mode,
-            &sc,
-            batch,
-        )?;
+        let r = session.optimize(&OptimizationConfig {
+            candidates_per_round: per_round,
+            ..cfg.clone()
+        })?;
         rows.push(vec![
-            format!("batched x{batch}"),
+            if per_round == 1 {
+                "sequential".to_string()
+            } else {
+                format!("batched x{per_round}")
+            },
             format!("{:.2}x", r.speedup),
-            f(r.best_latency_ms, 2),
+            f(r.best.latency_ms, 2),
             f(r.virtual_hours, 1),
             f(t0.elapsed().as_secs_f64(), 2),
         ]);
     }
     reporter.print_table(
-        "§7 extension: sequential vs batched parallel search (B1, 1% budget)",
+        "§7 extension: sequential vs parallel search (B1, 1% budget)",
         &["driver", "speedup", "best (ms)", "virtual h", "wall (s)"],
         &rows,
     );

@@ -18,8 +18,9 @@
 //! `optimize` prepares a benchmark session (training or loading cached
 //! teachers) and runs graph mutation optimization; `--config` reads the
 //! paper-style configuration file (see `gmorph::configfile`), with
-//! command-line flags overriding file values. `--batch-size` switches to
-//! the batched parallel search (§7 extension).
+//! command-line flags overriding file values. `--batch-size K` runs K
+//! candidates per search round, fine-tuned in parallel (the paper's §7
+//! parallel simulated annealing; the default 1 is sequential search).
 //!
 //! `--checkpoint-dir DIR` makes the search crash-safe: its full state is
 //! snapshotted into DIR every `--checkpoint-every` iterations (and on
@@ -36,7 +37,6 @@
 
 use gmorph::perf::estimator::estimate_latency_ms;
 use gmorph::prelude::*;
-use gmorph::search::batched::run_search_batched_checkpointed;
 use gmorph::{baselines, configfile, telemetry};
 use std::process::ExitCode;
 
@@ -268,6 +268,9 @@ fn cmd_optimize(cli: &Cli) -> Result<(), String> {
     if let Some(c) = cli.grad_clip {
         cfg.grad_clip = Some(c);
     }
+    if let Some(k) = cli.batch_size {
+        cfg.candidates_per_round = k;
+    }
 
     say!(cli, "preparing {bench_id} (teachers train once, then cache)...");
     let bench = build_benchmark(bench_id, &DataProfile::standard(), cfg.seed)
@@ -295,57 +298,26 @@ fn cmd_optimize(cli: &Cli) -> Result<(), String> {
         cfg.iterations,
         cfg.mode,
         cfg.accuracy_threshold * 100.0,
-        cli.batch_size
-            .map(|k| format!(", batch size {k}"))
-            .unwrap_or_default()
+        if cfg.candidates_per_round > 1 {
+            format!(", {} candidates per round", cfg.candidates_per_round)
+        } else {
+            String::new()
+        }
     );
-    let trace_path = effective_trace(cli);
-    let (best_mini, latency, orig, speedup, drop) = match cli.batch_size {
-        Some(k) => {
-            let mode = session.eval_mode(cfg.mode).map_err(|e| e.to_string())?;
-            let mut search_cfg = cfg.to_search_config();
-            search_cfg.virtual_throughput = session.virtual_throughput;
-            let r = run_search_batched_checkpointed(
-                &session.mini_graph,
-                &session.paper_graph,
-                &session.weights,
-                &mode,
-                &search_cfg,
-                k,
-                cfg.checkpoint_options().as_ref(),
-            )
-            .map_err(|e| e.to_string())?;
-            (
-                r.best_mini,
-                r.best_latency_ms,
-                r.original_latency_ms,
-                r.speedup,
-                f32::NAN,
-            )
-        }
-        None => {
-            let r = session.optimize(&cfg).map_err(|e| e.to_string())?;
-            if let Some(path) = &trace_path {
-                let artifact = path.with_extension("trace.jsonl");
-                gmorph::search::persist::save_trace(&artifact, &r)
-                    .map_err(|e| format!("saving search trace: {e}"))?;
-                say!(cli, "search trace saved to {}", artifact.display());
-            }
-            (
-                r.best.mini,
-                r.best.latency_ms,
-                r.original_latency_ms,
-                r.speedup,
-                r.best.drop,
-            )
-        }
-    };
-    println!("original {orig:.2} ms -> fused {latency:.2} ms ({speedup:.2}x)");
-    if drop.is_finite() {
-        println!("accuracy drop: {:.2}%", drop.max(0.0) * 100.0);
+    let r = session.optimize(&cfg).map_err(|e| e.to_string())?;
+    if let Some(path) = effective_trace(cli) {
+        let artifact = path.with_extension("trace.jsonl");
+        gmorph::search::persist::save_trace(&artifact, &r)
+            .map_err(|e| format!("saving search trace: {e}"))?;
+        say!(cli, "search trace saved to {}", artifact.display());
     }
+    println!(
+        "original {:.2} ms -> fused {:.2} ms ({:.2}x)",
+        r.original_latency_ms, r.best.latency_ms, r.speedup
+    );
+    println!("accuracy drop: {:.2}%", r.best.drop.max(0.0) * 100.0);
     if cli.render {
-        println!("\n{}", best_mini.render());
+        println!("\n{}", r.best.mini.render());
     }
     if telemetry::enabled() && !cli.quiet {
         print!("\n{}", telemetry::metrics::summary_table());
@@ -357,7 +329,7 @@ fn cmd_optimize(cli: &Cli) -> Result<(), String> {
 /// kinds, its decoded summary. Corrupt files report *why* they are
 /// rejected — the same classification the resume fallback uses.
 fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
-    use gmorph::search::checkpoint::{BatchedSnapshot, SearchSnapshot, BATCHED_KIND, SEARCH_KIND};
+    use gmorph::search::checkpoint::{SearchSnapshot, SEARCH_KIND};
     use gmorph::tensor::checkpoint::{is_corruption, Envelope};
 
     let path = cli.target.as_ref().ok_or("checkpoint-inspect needs a file path")?;
@@ -389,14 +361,6 @@ fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
             println!("  best latency  {:.3} ms", snap.best.latency_ms);
             println!("  virtual hours {:.4}", snap.state.clock_seconds / 3600.0);
             println!("  trace records {}", snap.trace.len());
-        }
-        BATCHED_KIND => {
-            let snap = BatchedSnapshot::decode(&env).map_err(|e| e.to_string())?;
-            println!("  fingerprint   {:#018x}", snap.state.fingerprint);
-            println!("  next round    {}", snap.state.next_iter);
-            println!("  elites        {}", snap.state.elites.len());
-            println!("  best latency  {:.3} ms", snap.best_latency);
-            println!("  rounds        {}", snap.rounds.len());
         }
         other => println!("  (no decoder for payload kind {other:?})"),
     }

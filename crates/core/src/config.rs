@@ -109,8 +109,12 @@ pub struct OptimizationConfig {
     pub objective: Objective,
     /// Acceptable accuracy drop (0.0 / 0.01 / 0.02 in the evaluation).
     pub accuracy_threshold: f32,
-    /// Search rounds (paper: 200).
+    /// Search iterations, one candidate each (paper: 200).
     pub iterations: usize,
+    /// Candidates proposed, screened and evaluated per round: 1 is the
+    /// paper's sequential search, more is its §7 parallel simulated
+    /// annealing (survivors fine-tuned concurrently).
+    pub candidates_per_round: usize,
     /// Accuracy estimation backend.
     pub mode: AccuracyMode,
     /// Sampling policy.
@@ -164,6 +168,7 @@ impl Default for OptimizationConfig {
             objective: Objective::Latency,
             accuracy_threshold: 0.01,
             iterations: 24,
+            candidates_per_round: 1,
             mode: AccuracyMode::Surrogate,
             policy: PolicyKind::SimulatedAnnealing,
             rule_filter: false,

@@ -144,6 +144,7 @@ impl Session {
             &self.weights,
             &mode,
             &search_cfg,
+            cfg.candidates_per_round,
             cfg.checkpoint_options().as_ref(),
         )?;
         // Surface failure containment at the session level: a run that

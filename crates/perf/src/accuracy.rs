@@ -209,7 +209,7 @@ pub fn finetune(
 
     let started = std::time::Instant::now();
     'outer: for epoch in 1..=cfg.max_epochs {
-        // Deadline and OOM guards run at epoch boundaries: cheap, and a
+        // The deadline guard runs at epoch boundaries: cheap, and a
         // pathological candidate is caught within one epoch of tripping.
         if let Some(ms) = cfg.wall_deadline_ms {
             let elapsed = started.elapsed().as_millis() as u64;
@@ -219,12 +219,6 @@ pub fn finetune(
                     format!("wall deadline {ms}ms exceeded ({elapsed}ms) before epoch {epoch}"),
                 ));
             }
-        }
-        if let Some((served, budget)) = gmorph_tensor::buffer::budget_exceeded() {
-            return Err(error::oom_guard(
-                "finetune",
-                format!("pool byte budget {budget} exceeded ({served} served) before epoch {epoch}"),
-            ));
         }
         if cfg.inject == Some(FaultKind::SlowCandidate) {
             std::thread::sleep(std::time::Duration::from_millis(25));

@@ -1,11 +1,11 @@
-//! Crash-safe checkpoint/resume for the search drivers.
+//! Crash-safe checkpoint/resume for the search loop.
 //!
 //! The search loop's full state — RNG stream, SA policy temperature state,
 //! elite list and dedup set, capacity-rule failures, virtual clock, best
 //! model, outcome counters, and the per-iteration trace — is snapshotted
-//! into a [`gmorph_tensor::checkpoint`] envelope after every iteration and
-//! written to disk every K iterations (and on drop/panic unwind) by the
-//! [`CheckpointManager`]. Resuming from the newest valid snapshot replays
+//! into a [`gmorph_tensor::checkpoint`] envelope after every round and
+//! written to disk when a round holds a multiple of `every` (and on
+//! drop/panic unwind) by the [`CheckpointManager`]. Resuming from the newest valid snapshot replays
 //! the remainder of the run *bit-exactly*: the resumed `SearchResult`
 //! (everything except wall-clock seconds) and fused model bytes equal the
 //! uninterrupted run's. Corrupt snapshots (truncation, bit flips, version
@@ -13,11 +13,10 @@
 //! `checkpoint.corrupt` telemetry event, falling back to the next-newest
 //! valid snapshot or a clean start — never a panic.
 //!
-//! Each iteration's snapshot costs what changed since the last one. The
-//! sequential driver encodes its live state by reference
-//! ([`SearchSnapshotRef`]) instead of cloning it into an owned snapshot;
-//! [`SearchSnapshot`] encodes through the same view, and the loop state of
-//! both snapshot kinds goes through one encoder ([`LoopStateRef`]). An
+//! Each round's snapshot costs what changed since the last one. The
+//! driver encodes its live state by reference ([`SearchSnapshotRef`])
+//! instead of cloning it into an owned snapshot; [`SearchSnapshot`]
+//! encodes through the same view. An
 //! elite never changes once admitted, so its record is encoded the first
 //! time a snapshot holds it, cached on the [`Elite`], and copied into
 //! every later snapshot; the bytes equal a from-scratch encoding
@@ -38,11 +37,9 @@ pub use gmorph_tensor::checkpoint::{
     load_latest, CheckpointManager, CheckpointOptions, CrashKind,
 };
 
-/// Payload kind of sequential-search snapshots.
+/// Payload kind of search snapshots.
 pub const SEARCH_KIND: &str = "search";
-/// Payload kind of batched-search snapshots.
-pub const BATCHED_KIND: &str = "batched";
-/// Schema version of both search snapshot payloads. v2 added quarantine
+/// Schema version of the search snapshot payload. v2 added quarantine
 /// entries to the filter section and failed/quarantined outcome counters.
 pub const SEARCH_SCHEMA: u32 = 2;
 
@@ -51,9 +48,14 @@ pub const SEARCH_SCHEMA: u32 = 2;
 /// A snapshot resumes only under the exact config and inputs it was
 /// written for; anything else would silently diverge from the
 /// uninterrupted run the resume claims to continue.
+///
+/// The config is hashed through its `Debug` text. `SupervisorConfig` once
+/// had a `pool_byte_budget` field that nothing could set; its text stays
+/// in the hashed form, so snapshots written before its removal resume.
 pub fn config_fingerprint(cfg: &SearchConfig, mini: &AbsGraph, paper: &AbsGraph) -> u64 {
+    let text = format!("{cfg:?}").replacen(", fault: ", ", pool_byte_budget: None, fault: ", 1);
     let mut h = FNV_OFFSET;
-    h = fnv1a(format!("{cfg:?}").as_bytes(), h);
+    h = fnv1a(text.as_bytes(), h);
     h = fnv1a(mini.signature().as_bytes(), h);
     h = fnv1a(paper.signature().as_bytes(), h);
     h
@@ -228,13 +230,13 @@ fn get_trace(r: &mut ByteReader) -> Result<Vec<TraceRecord>> {
 // Snapshots
 // ---------------------------------------------------------------------
 
-/// Shared per-loop state both drivers checkpoint: everything the next
-/// iteration's decisions depend on.
+/// The loop state a snapshot holds: everything the next round's decisions
+/// depend on.
 #[derive(Debug, Clone)]
 pub struct LoopState {
     /// Config + input-graph fingerprint the snapshot is valid for.
     pub fingerprint: u64,
-    /// First iteration (or round) the resumed run should execute.
+    /// First iteration the resumed run should execute.
     pub next_iter: usize,
     /// RNG stream position.
     pub rng: RngState,
@@ -256,13 +258,13 @@ pub struct LoopState {
     pub elites: Vec<Elite>,
 }
 
-/// Borrowed view of a [`LoopState`]: what the sequential driver hands the
-/// encoder each iteration instead of cloning its state into a snapshot.
+/// Borrowed view of a [`LoopState`]: what the driver hands the encoder
+/// each round instead of cloning its state into a snapshot.
 #[derive(Debug)]
 pub struct LoopStateRef<'a> {
     /// Config + input-graph fingerprint the snapshot is valid for.
     pub fingerprint: u64,
-    /// First iteration (or round) the resumed run should execute.
+    /// First iteration the resumed run should execute.
     pub next_iter: usize,
     /// RNG stream position.
     pub rng: RngState,
@@ -284,7 +286,7 @@ pub struct LoopStateRef<'a> {
 
 impl LoopStateRef<'_> {
     /// Appends the shared sections (`loop`, `rng`, `filter`, `history`):
-    /// the one encoder of loop state, for both snapshot kinds.
+    /// the one encoder of loop state.
     fn encode_into(&self, env: &mut Envelope) -> Result<()> {
         let mut w = ByteWriter::new();
         w.put_u64(self.fingerprint);
@@ -392,7 +394,7 @@ impl LoopState {
     }
 }
 
-/// Complete snapshot of a sequential [`crate::driver::run_search`] run.
+/// Complete snapshot of a [`crate::driver::run_search`] run.
 #[derive(Debug, Clone)]
 pub struct SearchSnapshot {
     /// Shared loop state.
@@ -415,8 +417,8 @@ pub struct SearchSnapshot {
     pub trace: Vec<TraceRecord>,
 }
 
-/// Borrowed view of a [`SearchSnapshot`]: the sequential driver encodes
-/// its live state through this each iteration.
+/// Borrowed view of a [`SearchSnapshot`]: the driver encodes its live
+/// state through this each round.
 #[derive(Debug)]
 pub struct SearchSnapshotRef<'a> {
     /// Shared loop state.
@@ -540,78 +542,6 @@ impl SearchSnapshot {
     }
 }
 
-/// Complete snapshot of a [`crate::batched::run_search_batched`] run.
-#[derive(Debug, Clone)]
-pub struct BatchedSnapshot {
-    /// Shared loop state (`next_iter` counts *rounds* here).
-    pub state: LoopState,
-    /// Best satisfying mini-scale graph so far.
-    pub best_mini: AbsGraph,
-    /// Best satisfying paper-scale graph so far.
-    pub best_paper: AbsGraph,
-    /// Best satisfying latency so far (ms).
-    pub best_latency: f64,
-    /// Per-round diagnostics so far: (round, evaluated, skipped,
-    /// best_latency_ms, virtual_hours).
-    pub rounds: Vec<(usize, usize, usize, f64, f64)>,
-}
-
-impl BatchedSnapshot {
-    /// Serializes the snapshot into an envelope.
-    pub fn encode(&self) -> Result<Envelope> {
-        let mut env = Envelope::new(BATCHED_KIND, SEARCH_SCHEMA);
-        self.state.view().encode_into(&mut env)?;
-
-        let mut w = ByteWriter::new();
-        w.put_str(&encode_graph_exact(&self.best_mini));
-        w.put_str(&encode_graph_exact(&self.best_paper));
-        w.put_f64(self.best_latency);
-        w.put_u32(self.rounds.len() as u32);
-        for &(round, evaluated, skipped, lat, vh) in &self.rounds {
-            w.put_u64(round as u64);
-            w.put_u64(evaluated as u64);
-            w.put_u64(skipped as u64);
-            w.put_f64(lat);
-            w.put_f64(vh);
-        }
-        env.push("best", w.into_bytes());
-        Ok(env)
-    }
-
-    /// Restores a snapshot from an envelope, checking the schema version.
-    pub fn decode(env: &Envelope) -> Result<BatchedSnapshot> {
-        if env.schema != SEARCH_SCHEMA {
-            return Err(TensorError::Io(format!(
-                "checkpoint corrupt: batched schema v{} unsupported (expected v{SEARCH_SCHEMA})",
-                env.schema
-            )));
-        }
-        let state = LoopState::decode_from(env)?;
-        let mut r = ByteReader::new(env.section("best")?);
-        let best_mini = decode_graph_exact(&r.get_str()?)?;
-        let best_paper = decode_graph_exact(&r.get_str()?)?;
-        let best_latency = r.get_f64()?;
-        let n = r.get_u32()? as usize;
-        let mut rounds = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rounds.push((
-                r.get_u64()? as usize,
-                r.get_u64()? as usize,
-                r.get_u64()? as usize,
-                r.get_f64()?,
-                r.get_f64()?,
-            ));
-        }
-        Ok(BatchedSnapshot {
-            state,
-            best_mini,
-            best_paper,
-            best_latency,
-            rounds,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Loading with corruption fallback
 // ---------------------------------------------------------------------
@@ -621,27 +551,10 @@ impl BatchedSnapshot {
 /// A snapshot of the right kind whose schema or fingerprint mismatches is
 /// treated like corruption: logged, skipped, and the next-newest tried.
 pub fn load_latest_search(dir: &Path, fingerprint: u64) -> Result<Option<SearchSnapshot>> {
-    load_matching(dir, SEARCH_KIND, fingerprint, SearchSnapshot::decode)
-}
-
-/// Loads the newest valid [`BatchedSnapshot`] whose fingerprint matches.
-pub fn load_latest_batched(dir: &Path, fingerprint: u64) -> Result<Option<BatchedSnapshot>> {
-    load_matching(dir, BATCHED_KIND, fingerprint, BatchedSnapshot::decode)
-}
-
-fn load_matching<T>(
-    dir: &Path,
-    kind: &str,
-    fingerprint: u64,
-    decode: impl Fn(&Envelope) -> Result<T>,
-) -> Result<Option<T>>
-where
-    T: HasFingerprint,
-{
-    for (iter, path) in snapshot_files(dir, kind) {
-        let snap = load(&path, kind).and_then(|env| decode(&env));
+    for (iter, path) in snapshot_files(dir, SEARCH_KIND) {
+        let snap = load(&path, SEARCH_KIND).and_then(|env| SearchSnapshot::decode(&env));
         match snap {
-            Ok(snap) if snap.fingerprint() == fingerprint => {
+            Ok(snap) if snap.state.fingerprint == fingerprint => {
                 gmorph_telemetry::counter!("checkpoint.load");
                 gmorph_telemetry::point!(
                     "checkpoint.loaded",
@@ -659,7 +572,7 @@ where
                     corruption = false,
                     error = format!(
                         "config fingerprint {:#018x} does not match this run's {fingerprint:#018x}",
-                        snap.fingerprint()
+                        snap.state.fingerprint
                     )
                     .as_str()
                 );
@@ -677,22 +590,6 @@ where
         }
     }
     Ok(None)
-}
-
-trait HasFingerprint {
-    fn fingerprint(&self) -> u64;
-}
-
-impl HasFingerprint for SearchSnapshot {
-    fn fingerprint(&self) -> u64 {
-        self.state.fingerprint
-    }
-}
-
-impl HasFingerprint for BatchedSnapshot {
-    fn fingerprint(&self) -> u64 {
-        self.state.fingerprint
-    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,13 @@
 //! (4) updates the elites and the best model when the accuracy target is
 //! met.
 //!
+//! Iterations run in rounds of `K` candidates (the paper's §7 "sampling
+//! multiple models in parallel"): a round screens its candidates in
+//! iteration order, evaluates the survivors — in parallel when `K > 1` —
+//! and folds the results back in iteration order. Sequential search is
+//! `K = 1`, and every guarantee of the loop (supervision, checkpoints,
+//! telemetry, the trace) holds at any `K`.
+//!
 //! The driver tracks every candidate at two scales simultaneously: the
 //! *mini* graph (trainable) and the *paper* graph (analytic estimation),
 //! replaying the same mutation operations on both. Node ids are aligned by
@@ -15,18 +22,20 @@
 
 use crate::checkpoint::{
     config_fingerprint, load_latest_search, CheckpointManager, CheckpointOptions, LoopStateRef,
-    SearchSnapshotRef, SEARCH_KIND,
+    SearchSnapshot, SearchSnapshotRef, SEARCH_KIND,
 };
-use crate::evaluator::EvalMode;
+use crate::evaluator::{EvalMode, Evaluation};
 use crate::history::{Elite, History};
 use crate::policy::{PolicyKind, SimulatedAnnealing};
-use crate::supervisor::{self, FailureReport, SupervisorConfig};
+use crate::supervisor::{self, retry_seed, FailureReport, SupervisorConfig};
 use gmorph_graph::pairs::{pairs_with, PairPolicy};
 use gmorph_graph::{mutation, AbsGraph, CapacityVector, NodeId, WeightStore};
 use gmorph_perf::accuracy::FinetuneConfig;
 use gmorph_perf::estimator::{estimate_latency_ms, Backend};
 use gmorph_perf::filter::CapacityRuleFilter;
 use gmorph_perf::VirtualClock;
+use gmorph_tensor::checkpoint::Envelope;
+use gmorph_tensor::engine;
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, TensorError};
 use std::time::Instant;
@@ -212,13 +221,7 @@ pub struct SearchResult {
     pub quarantined: usize,
 }
 
-struct Base<'a> {
-    mini: &'a AbsGraph,
-    paper: &'a AbsGraph,
-    weights: &'a WeightStore,
-}
-
-/// Runs Algorithm 1.
+/// Runs Algorithm 1, one candidate per round.
 ///
 /// `mini` and `paper` are the abstract graphs of the input multi-DNNs at
 /// the two scales (node-id aligned); `teacher_weights` hold the
@@ -231,24 +234,36 @@ pub fn run_search(
     mode: &EvalMode,
     cfg: &SearchConfig,
 ) -> Result<SearchResult> {
-    run_search_checkpointed(mini, paper, teacher_weights, mode, cfg, None)
+    run_search_checkpointed(mini, paper, teacher_weights, mode, cfg, 1, None)
 }
 
-/// Runs Algorithm 1 with optional crash-safe checkpointing.
+/// Runs Algorithm 1 with `per_round` candidates per round and optional
+/// crash-safe checkpointing.
+///
+/// A round proposes and screens `per_round` candidates (fewer in a final
+/// partial round) in iteration order on the search RNG, evaluates the
+/// survivors, and folds the results into the elites, the best model, the
+/// clock and the trace in iteration order. `cfg.iterations` counts
+/// candidates, skipped ones included, at every `per_round`. With one
+/// candidate per round its evaluation draws from the search RNG; with more
+/// (the paper's §7 parallel SA) the survivors are evaluated in parallel,
+/// each from its own `retry_seed(cfg.seed, iter, 0)` stream, so results do
+/// not depend on the thread count.
 ///
 /// With `ckpt = Some(opts)` the loop snapshots its complete state after
-/// every iteration (written to disk every `opts.every` iterations and on
-/// drop/panic), and — when `opts.resume` is set — restores the newest
-/// valid snapshot whose config fingerprint matches before iterating.
-/// A resumed run replays the remaining iterations bit-exactly: every
-/// field of the final [`SearchResult`] except wall-clock seconds equals
-/// the uninterrupted run's.
+/// every round (written to disk when the round holds a multiple of
+/// `opts.every`, and on drop/panic), and — when `opts.resume` is set —
+/// restores the newest valid snapshot whose config fingerprint matches
+/// before iterating. A resumed run replays the remaining rounds
+/// bit-exactly: every field of the final [`SearchResult`] except
+/// wall-clock seconds equals the uninterrupted run's.
 pub fn run_search_checkpointed(
     mini: &AbsGraph,
     paper: &AbsGraph,
     teacher_weights: &WeightStore,
     mode: &EvalMode,
     cfg: &SearchConfig,
+    per_round: usize,
     ckpt: Option<&CheckpointOptions>,
 ) -> Result<SearchResult> {
     if mini.len() != paper.len() {
@@ -261,14 +276,16 @@ pub fn run_search_checkpointed(
             ),
         });
     }
+    if per_round == 0 {
+        return Err(TensorError::InvalidArgument {
+            op: "run_search",
+            msg: "candidates per round must be nonzero".to_string(),
+        });
+    }
     let wall_start = Instant::now();
-    let mut rng = Rng::new(cfg.seed ^ 0x5EA_4C4);
     let mut policy = SimulatedAnnealing::new();
     policy.alpha = cfg.sa_alpha;
-    let mut history = History::new(policy.max_elites);
-    let mut rule_filter = CapacityRuleFilter::new();
-    let mut clock = VirtualClock::with_throughput(cfg.virtual_samples, cfg.virtual_throughput);
-    let mut trace: Vec<TraceRecord> = Vec::with_capacity(cfg.iterations);
+    let clock = VirtualClock::with_throughput(cfg.virtual_samples, cfg.virtual_throughput);
 
     let original_latency_ms = estimate_latency_ms(paper, Backend::Eager)?;
     let _run_span = gmorph_telemetry::span!(
@@ -290,437 +307,169 @@ pub fn run_search_checkpointed(
         virtual_samples = cfg.virtual_samples,
         virtual_throughput = clock.throughput(),
         original_latency_ms = original_latency_ms,
-        nodes = mini.len()
+        nodes = mini.len(),
+        candidates_per_round = per_round
     );
-    let teacher_scores = mode.teacher_scores().to_vec();
-    let mut best = BestModel {
-        mini: mini.clone(),
-        paper: paper.clone(),
-        weights: teacher_weights.clone(),
-        latency_ms: original_latency_ms,
-        drop: 0.0,
-        scores: teacher_scores.clone(),
+    let mut state = State {
+        rng: Rng::new(cfg.seed ^ 0x5EA_4C4),
+        history: History::new(policy.max_elites),
+        policy,
+        rule_filter: CapacityRuleFilter::new(),
+        clock,
+        trace: Vec::with_capacity(cfg.iterations),
+        best: BestModel {
+            mini: mini.clone(),
+            paper: paper.clone(),
+            weights: teacher_weights.clone(),
+            latency_ms: original_latency_ms,
+            drop: 0.0,
+            scores: mode.teacher_scores().to_vec(),
+        },
+        evaluated: 0,
+        rule_filtered: 0,
+        early_terminated: 0,
+        duplicates: 0,
+        failed: 0,
+        quarantined: 0,
     };
-    let mut evaluated = 0usize;
-    let mut rule_filtered = 0usize;
-    let mut early_terminated = 0usize;
-    let mut duplicates = 0usize;
-    let mut failed = 0usize;
-    let mut quarantined = 0usize;
 
     // Resume: restore the newest valid snapshot whose fingerprint matches
     // this exact config + input graphs, then continue from its iteration.
-    let fingerprint = config_fingerprint(cfg, mini, paper);
+    // The round size enters the fingerprint only above one, so snapshots
+    // of one-candidate rounds keep the fingerprint they always had.
+    let mut fingerprint = config_fingerprint(cfg, mini, paper);
+    if per_round > 1 {
+        fingerprint ^= (per_round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
     let mut start_iter = 1usize;
     let mut wall_offset = 0.0f64;
     if let Some(opts) = ckpt {
         if opts.resume {
             if let Some(snap) = load_latest_search(&opts.dir, fingerprint)? {
-                rng = Rng::restore(&snap.state.rng);
-                policy.restore_last_drop(snap.state.last_drop);
-                history =
-                    History::from_parts(snap.state.evaluated, snap.state.elites, policy.max_elites);
-                rule_filter = CapacityRuleFilter::from_parts(
-                    snap.state.failures,
-                    snap.state.quarantined,
-                );
-                clock.restore_seconds(snap.state.clock_seconds);
-                best = snap.best;
-                evaluated = snap.evaluated_count;
-                rule_filtered = snap.rule_filtered;
-                early_terminated = snap.early_terminated;
-                duplicates = snap.duplicates;
-                failed = snap.failed;
-                quarantined = snap.quarantined_count;
-                trace = snap.trace;
                 start_iter = snap.state.next_iter;
                 wall_offset = snap.state.wall_offset;
+                state.restore(snap);
                 gmorph_telemetry::point!(
                     "search.resumed",
                     next_iter = start_iter,
-                    evaluated = evaluated,
-                    elites = history.elite_count(),
-                    virtual_hours = clock.hours()
+                    evaluated = state.evaluated,
+                    elites = state.history.elite_count(),
+                    virtual_hours = state.clock.hours()
                 );
             }
         }
     }
     let mut manager = ckpt.map(|opts| CheckpointManager::new(opts, SEARCH_KIND));
+    let wall = || wall_offset + wall_start.elapsed().as_secs_f64();
 
-    for iter in start_iter..=cfg.iterations {
-        // The labeled block gives every early-exit path (no mutation,
-        // duplicate, rule-filtered) a single common continuation: the
-        // per-iteration checkpoint tick below.
-        'body: {
-        // Step 1: sample the base graph (original or elite).
-        let use_elite = match cfg.policy {
-            PolicyKind::SimulatedAnnealing => {
-                policy.sample_from_elites(iter, history.elite_count(), &mut rng)
-            }
-            PolicyKind::RandomSampling => false,
-        };
-        let elite_pick = if use_elite && history.elite_count() > 0 {
-            Some(rng.below(history.elite_count()))
-        } else {
-            None
-        };
-        // Clone the elite out so `history` stays mutably borrowable below;
-        // elite graphs are small (tens of nodes) and surrogate weight
-        // stores hold empty tensors, so this is cheap.
-        let elite_base = elite_pick.map(|i| {
-            let e = &history.elites()[i];
-            (e.mini.clone(), e.paper.clone(), e.weights.clone())
-        });
-        let base = match &elite_base {
-            Some((m, p, w)) => Base {
-                mini: m,
-                paper: p,
-                weights: w,
-            },
-            None => Base {
-                mini,
-                paper,
-                weights: teacher_weights,
-            },
-        };
+    let mut first = start_iter;
+    while first <= cfg.iterations {
+        let last = (first + per_round - 1).min(cfg.iterations);
 
-        // Step 2: sample pairs and run the mutation pass on both scales.
-        let candidate = propose_candidate(
-            base.mini,
-            base.paper,
-            cfg.pair_policy,
-            cfg.max_ops_per_pass,
-            &mut rng,
-        )?;
-        let temperature = policy.temperature(iter);
-        let (cand_mini, cand_paper) = match candidate {
-            Some(c) => c,
-            None => {
-                trace.push(record(
-                    iter,
-                    CandidateStatus::NoMutation,
-                    elite_pick.is_some(),
-                    f32::NAN,
-                    false,
-                    f64::NAN,
-                    &best,
-                    0,
-                    &clock,
-                    wall_start,
-                    wall_offset,
-                ));
-                gmorph_telemetry::counter!("search.no_mutation");
-                emit_iter(trace.last().unwrap(), temperature, "no_mutation", -1, -1);
-                break 'body;
-            }
-        };
-        let cand_nodes = cand_mini.len() as i64;
-        let cand_rescales = cand_mini
-            .iter()
-            .filter(|(_, n)| matches!(n.spec, gmorph_nn::BlockSpec::Rescale { .. }))
-            .count() as i64;
-        // Deduplicate by structural signature *before* any evaluation
-        // work: a previously seen candidate skips even the latency
-        // estimate, not just the fine-tuning.
-        let signature = cand_mini.signature();
-        if history.seen(&signature) {
-            duplicates += 1;
-            clock.charge_overhead(1.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::Duplicate,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                f64::NAN,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.duplicates");
-            gmorph_telemetry::counter!("search.dedup_hit");
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                "duplicate",
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
-        }
-        history.record_evaluated(signature.clone());
-
-        let cand_latency = estimate_latency_ms(&cand_paper, Backend::Eager)?;
-        let cand_objective = match cfg.objective {
-            Objective::Latency => cand_latency,
-            Objective::Flops => cand_paper.flops()? as f64,
-        };
-
-        // Quarantine check: always on (independent of `rule_filter`),
-        // because quarantine entries record *evaluation failures* — a
-        // candidate matching one would fail the same way again. The §5.1
-        // dominance rule applies: an equal or more aggressive merge of a
-        // quarantined capacity is skipped too.
-        let capacity = CapacityVector::of(&cand_mini)?;
-        if let Some(verdict) = rule_filter.quarantine_verdict(&signature, &capacity) {
-            quarantined += 1;
-            clock.charge_overhead(2.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::Quarantined,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                cand_latency,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.quarantine_skipped");
-            gmorph_telemetry::counter!("filter.rule.quarantined");
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                verdict.as_str(),
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
+        // Phase 1: propose and screen (dedup, quarantine, rule filter) in
+        // iteration order on the search RNG; a skip uses up its iteration.
+        let mut slots = Vec::with_capacity(last + 1 - first);
+        for iter in first..=last {
+            slots.push(state.screen(iter, cfg, mini, paper)?);
         }
 
-        // Rule-based filtering (§5.1) before any fine-tuning.
-        let filter_verdict = if cfg.rule_filter {
-            rule_filter.verdict(&capacity)
-        } else {
-            None
-        };
-        if let Some(verdict) = filter_verdict {
-            rule_filtered += 1;
-            clock.charge_overhead(2.0);
-            trace.push(record(
-                iter,
-                CandidateStatus::RuleFiltered,
-                elite_pick.is_some(),
-                f32::NAN,
-                false,
-                cand_latency,
-                &best,
-                0,
-                &clock,
-                wall_start,
-                wall_offset,
-            ));
-            gmorph_telemetry::counter!("search.rule_filtered");
-            if gmorph_telemetry::enabled() {
-                gmorph_telemetry::counter!(&format!("filter.rule.{}", verdict.as_str()));
-            }
-            emit_iter(
-                trace.last().unwrap(),
-                temperature,
-                verdict.as_str(),
-                cand_nodes,
-                cand_rescales,
-            );
-            break 'body;
-        }
-
-        // Step 3: evaluate (fine-tune) the candidate, supervised. A
+        // Phase 2: evaluate (fine-tune) the survivors, supervised. A
         // failing candidate is retried (transient kinds only), then
-        // classified, quarantined, and scored as a rejected SA step —
-        // never an aborted run.
-        let noise_salt = cfg.seed.wrapping_mul(1_000_003) ^ iter as u64;
-        let clock_before = clock.seconds();
-        let outcome = supervisor::evaluate_supervised(
-            mode,
-            &cand_mini,
-            base.weights,
-            &cfg.finetune,
-            &cfg.supervisor,
-            cfg.seed,
-            iter,
-            &mut rng,
-            noise_salt,
-        );
-        // Charge the virtual clock, then apply the deterministic
-        // virtual-clock deadline: a candidate whose fine-tuning cost blew
-        // the per-candidate budget is a timeout even if it converged.
-        let outcome = match outcome {
-            Ok(evaluation) => {
-                let paper_flops = cand_paper.flops()?;
-                clock.charge_finetune(paper_flops, evaluation.result.epochs_run);
-                clock.charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
-                let spent_hours = (clock.seconds() - clock_before) / 3600.0;
-                match cfg.supervisor.virtual_deadline_hours {
-                    Some(limit) if spent_hours > limit => Err(FailureReport {
-                        kind: gmorph_tensor::FailureKind::Timeout,
-                        attempts: 1,
-                        message: format!(
-                            "virtual cost {spent_hours:.3}h exceeds the \
-                             {limit:.3}h per-candidate budget"
-                        ),
-                    }),
-                    _ => Ok(evaluation),
+        // classified and reported — never an aborted run.
+        let survivors: Vec<(usize, &AbsGraph, &WeightStore)> = slots
+            .iter()
+            .filter_map(|slot| match &slot.screened {
+                Screened::Survivor(c) => Some((
+                    slot.iter,
+                    &c.mini,
+                    slot.elite
+                        .map_or(teacher_weights, |i| &state.history.elites()[i].weights),
+                )),
+                Screened::Skipped { .. } => None,
+            })
+            .collect();
+        let evaluate = |iter: usize, cand: &AbsGraph, base: &WeightStore, rng: &mut Rng| {
+            let noise_salt = cfg.seed.wrapping_mul(1_000_003) ^ iter as u64;
+            supervisor::evaluate_supervised(
+                mode,
+                cand,
+                base,
+                &cfg.finetune,
+                &cfg.supervisor,
+                cfg.seed,
+                iter,
+                rng,
+                noise_salt,
+            )
+        };
+        let outcomes = if per_round == 1 {
+            survivors
+                .iter()
+                .map(|&(iter, cand, base)| evaluate(iter, cand, base, &mut state.rng))
+                .collect()
+        } else {
+            engine::parallel_map(survivors.len(), |j| {
+                let (iter, cand, base) = survivors[j];
+                let mut rng = Rng::new(retry_seed(cfg.seed, iter, 0));
+                evaluate(iter, cand, base, &mut rng)
+            })
+        };
+
+        // Phase 3: fold the round into the search state, in iteration
+        // order.
+        let mut outcomes = outcomes.into_iter();
+        for slot in slots {
+            let step = match slot.screened {
+                Screened::Skipped {
+                    status,
+                    reason,
+                    latency_ms,
+                } => state.skip(status, reason, latency_ms),
+                Screened::Survivor(cand) => {
+                    let outcome = outcomes.next().expect("one outcome per survivor");
+                    state.fold(cfg, slot.iter, *cand, outcome)?
                 }
-            }
-            Err(report) => {
-                // Failed attempts still consumed search time.
-                clock.charge_overhead(2.0 * report.attempts as f64);
-                Err(report)
-            }
-        };
-        let evaluation = match outcome {
-            Ok(evaluation) => evaluation,
-            Err(report) => {
-                failed += 1;
-                rule_filter.record_quarantine(signature.clone(), capacity.clone());
-                // A failed candidate reads as maximally bad to the SA
-                // policy: elites stay preferable and the temperature
-                // schedule sees a rejection, not a hole.
-                policy.observe_drop(1.0);
-                gmorph_telemetry::counter!("search.failed");
-                gmorph_telemetry::counter!("eval.quarantine");
-                gmorph_telemetry::point!(
-                    "eval.quarantine",
-                    iter = iter,
-                    kind = report.kind.as_str(),
-                    attempts = report.attempts,
-                    signature = signature.as_str(),
-                    error = report.message.as_str()
-                );
-                trace.push(record(
-                    iter,
-                    CandidateStatus::Failed,
-                    elite_pick.is_some(),
-                    f32::NAN,
-                    false,
-                    cand_latency,
-                    &best,
-                    0,
-                    &clock,
-                    wall_start,
-                    wall_offset,
-                ));
-                emit_iter(
-                    trace.last().unwrap(),
-                    temperature,
-                    report.kind.as_str(),
-                    cand_nodes,
-                    cand_rescales,
-                );
-                break 'body;
-            }
-        };
-        evaluated += 1;
-        policy.observe_drop(evaluation.result.final_drop.max(0.0));
-        if evaluation.result.terminated_early {
-            early_terminated += 1;
-        }
-
-        // Step 4: elites and best model.
-        let met = evaluation.result.met_target;
-        let mut reason = "rejected_drop";
-        if met {
-            let best_objective = match cfg.objective {
-                Objective::Latency => best.latency_ms,
-                Objective::Flops => best.paper.flops()? as f64,
             };
-            if cand_objective < best_objective {
-                best = BestModel {
-                    mini: cand_mini.clone(),
-                    paper: cand_paper.clone(),
-                    weights: evaluation.weights.clone(),
-                    latency_ms: cand_latency,
-                    drop: evaluation.result.final_drop,
-                    scores: evaluation.result.final_scores.clone(),
-                };
-                reason = "accepted_best";
-                gmorph_telemetry::counter!("search.best_improved");
-            } else {
-                reason = "accepted_elite";
-            }
-            history.add_elite(Elite::new(
-                cand_mini,
-                cand_paper,
-                evaluation.weights,
-                evaluation.result.final_drop,
-                cand_latency,
-                evaluation.result.final_scores.clone(),
-            ));
-            gmorph_telemetry::counter!("search.accepted");
-        } else {
-            if cfg.rule_filter {
-                rule_filter.record_failure(capacity);
-            }
-            gmorph_telemetry::counter!("search.rejected");
+            let rec = TraceRecord {
+                iter: slot.iter,
+                status: step.status,
+                from_elite: slot.elite.is_some(),
+                drop: step.drop,
+                met_target: step.met,
+                candidate_latency_ms: step.latency_ms,
+                best_latency_ms: state.best.latency_ms,
+                epochs: step.epochs,
+                virtual_hours: state.clock.hours(),
+                wall_seconds: wall(),
+            };
+            emit_iter(&rec, slot.temperature, step.reason, slot.shape);
+            state.trace.push(rec);
         }
-        let status = if evaluation.result.terminated_early {
-            CandidateStatus::TerminatedEarly
-        } else {
-            CandidateStatus::Evaluated
-        };
-        gmorph_telemetry::counter!("search.evaluated");
-        if evaluation.result.terminated_early {
-            gmorph_telemetry::counter!("search.early_terminated");
-        }
-        trace.push(record(
-            iter,
-            status,
-            elite_pick.is_some(),
-            evaluation.result.final_drop,
-            met,
-            cand_latency,
-            &best,
-            evaluation.result.epochs_run,
-            &clock,
-            wall_start,
-            wall_offset,
-        ));
-        emit_iter(
-            trace.last().unwrap(),
-            temperature,
-            reason,
-            cand_nodes,
-            cand_rescales,
-        );
-        } // 'body
 
-        // Snapshot the completed iteration; the manager decides whether
-        // this one hits the disk now or stays pending (flushed on drop).
+        // Snapshot the completed round; the manager decides whether it
+        // hits the disk now or stays pending (flushed on drop).
         if let Some(mgr) = manager.as_mut() {
-            let snapshot = SearchSnapshotRef {
-                state: LoopStateRef {
-                    fingerprint,
-                    next_iter: iter + 1,
-                    rng: rng.state(),
-                    last_drop: policy.last_drop(),
-                    clock_seconds: clock.seconds(),
-                    wall_offset: wall_offset + wall_start.elapsed().as_secs_f64(),
-                    failures: rule_filter.failures(),
-                    quarantined: rule_filter.quarantined(),
-                    evaluated: history.evaluated_signatures(),
-                    elites: history.elites(),
-                },
-                best: &best,
-                evaluated_count: evaluated,
-                rule_filtered,
-                early_terminated,
-                duplicates,
-                failed,
-                quarantined_count: quarantined,
-                trace: &trace,
-            };
-            mgr.tick(iter, snapshot.encode()?)?;
+            mgr.tick_round(first..=last, state.snapshot(fingerprint, last + 1, wall())?)?;
         }
         if let Some(opts) = ckpt {
-            opts.maybe_crash(iter);
+            opts.maybe_crash_round(first..=last);
         }
+        first = last + 1;
     }
 
-    let wall_seconds = wall_offset + wall_start.elapsed().as_secs_f64();
+    let wall_seconds = wall();
+    let State {
+        best,
+        trace,
+        clock,
+        evaluated,
+        rule_filtered,
+        early_terminated,
+        duplicates,
+        failed,
+        quarantined,
+        ..
+    } = state;
     gmorph_telemetry::point!(
         "search.done",
         iterations = cfg.iterations,
@@ -750,6 +499,391 @@ pub fn run_search_checkpointed(
         failed,
         quarantined,
     })
+}
+
+/// The search loop's state: everything a snapshot holds but the
+/// iteration and the wall clock.
+struct State {
+    rng: Rng,
+    policy: SimulatedAnnealing,
+    history: History,
+    rule_filter: CapacityRuleFilter,
+    clock: VirtualClock,
+    trace: Vec<TraceRecord>,
+    best: BestModel,
+    evaluated: usize,
+    rule_filtered: usize,
+    early_terminated: usize,
+    duplicates: usize,
+    failed: usize,
+    quarantined: usize,
+}
+
+/// One iteration of a round, screened.
+struct Slot {
+    iter: usize,
+    /// The elite the candidate mutated (`None`: the original graphs).
+    elite: Option<usize>,
+    temperature: f32,
+    /// Node and `Rescale` counts of the mutated graph (-1 without one).
+    shape: (i64, i64),
+    screened: Screened,
+}
+
+/// What screening decided for one iteration.
+enum Screened {
+    /// Skipped before evaluation; `reason` goes into its `search.iter`.
+    Skipped {
+        status: CandidateStatus,
+        reason: &'static str,
+        latency_ms: f64,
+    },
+    /// Evaluated this round.
+    Survivor(Box<Candidate>),
+}
+
+/// A candidate that survived screening.
+struct Candidate {
+    mini: AbsGraph,
+    paper: AbsGraph,
+    signature: String,
+    capacity: CapacityVector,
+    latency_ms: f64,
+    objective: f64,
+}
+
+/// What one iteration contributes to its trace record.
+struct Step {
+    status: CandidateStatus,
+    reason: &'static str,
+    drop: f32,
+    met: bool,
+    latency_ms: f64,
+    epochs: usize,
+}
+
+impl State {
+    fn restore(&mut self, snap: SearchSnapshot) {
+        self.rng = Rng::restore(&snap.state.rng);
+        self.policy.restore_last_drop(snap.state.last_drop);
+        self.history = History::from_parts(
+            snap.state.evaluated,
+            snap.state.elites,
+            self.policy.max_elites,
+        );
+        self.rule_filter =
+            CapacityRuleFilter::from_parts(snap.state.failures, snap.state.quarantined);
+        self.clock.restore_seconds(snap.state.clock_seconds);
+        self.best = snap.best;
+        self.evaluated = snap.evaluated_count;
+        self.rule_filtered = snap.rule_filtered;
+        self.early_terminated = snap.early_terminated;
+        self.duplicates = snap.duplicates;
+        self.failed = snap.failed;
+        self.quarantined = snap.quarantined_count;
+        self.trace = snap.trace;
+    }
+
+    /// Encodes the state by reference as the snapshot resuming at
+    /// `next_iter`.
+    fn snapshot(&self, fingerprint: u64, next_iter: usize, wall_offset: f64) -> Result<Envelope> {
+        SearchSnapshotRef {
+            state: LoopStateRef {
+                fingerprint,
+                next_iter,
+                rng: self.rng.state(),
+                last_drop: self.policy.last_drop(),
+                clock_seconds: self.clock.seconds(),
+                wall_offset,
+                failures: self.rule_filter.failures(),
+                quarantined: self.rule_filter.quarantined(),
+                evaluated: self.history.evaluated_signatures(),
+                elites: self.history.elites(),
+            },
+            best: &self.best,
+            evaluated_count: self.evaluated,
+            rule_filtered: self.rule_filtered,
+            early_terminated: self.early_terminated,
+            duplicates: self.duplicates,
+            failed: self.failed,
+            quarantined_count: self.quarantined,
+            trace: &self.trace,
+        }
+        .encode()
+    }
+
+    /// Steps 1–2 and the pre-evaluation checks for iteration `iter`:
+    /// samples the base graph (original or elite), mutates it at both
+    /// scales, and screens the candidate.
+    fn screen(
+        &mut self,
+        iter: usize,
+        cfg: &SearchConfig,
+        mini: &AbsGraph,
+        paper: &AbsGraph,
+    ) -> Result<Slot> {
+        let use_elite = match cfg.policy {
+            PolicyKind::SimulatedAnnealing => {
+                self.policy
+                    .sample_from_elites(iter, self.history.elite_count(), &mut self.rng)
+            }
+            PolicyKind::RandomSampling => false,
+        };
+        let elite = if use_elite && self.history.elite_count() > 0 {
+            Some(self.rng.below(self.history.elite_count()))
+        } else {
+            None
+        };
+        let (base_mini, base_paper) = match elite {
+            Some(i) => {
+                let e = &self.history.elites()[i];
+                (&e.mini, &e.paper)
+            }
+            None => (mini, paper),
+        };
+        let candidate = propose_candidate(
+            base_mini,
+            base_paper,
+            cfg.pair_policy,
+            cfg.max_ops_per_pass,
+            &mut self.rng,
+        )?;
+        let mut slot = Slot {
+            iter,
+            elite,
+            temperature: self.policy.temperature(iter),
+            shape: (-1, -1),
+            screened: Screened::Skipped {
+                status: CandidateStatus::NoMutation,
+                reason: "no_mutation",
+                latency_ms: f64::NAN,
+            },
+        };
+        let Some((cand_mini, cand_paper)) = candidate else {
+            return Ok(slot);
+        };
+        let rescales = cand_mini
+            .iter()
+            .filter(|(_, n)| matches!(n.spec, gmorph_nn::BlockSpec::Rescale { .. }))
+            .count();
+        slot.shape = (cand_mini.len() as i64, rescales as i64);
+        // Deduplicate by structural signature *before* any evaluation
+        // work: a previously seen candidate skips even the latency
+        // estimate, not just the fine-tuning.
+        let signature = cand_mini.signature();
+        if self.history.seen(&signature) {
+            slot.screened = Screened::Skipped {
+                status: CandidateStatus::Duplicate,
+                reason: "duplicate",
+                latency_ms: f64::NAN,
+            };
+            return Ok(slot);
+        }
+        self.history.record_evaluated(signature.clone());
+
+        let latency_ms = estimate_latency_ms(&cand_paper, Backend::Eager)?;
+        let objective = match cfg.objective {
+            Objective::Latency => latency_ms,
+            Objective::Flops => cand_paper.flops()? as f64,
+        };
+        // Quarantine check: always on (independent of `rule_filter`),
+        // because quarantine entries record *evaluation failures* — a
+        // candidate matching one would fail the same way again. The §5.1
+        // dominance rule applies: an equal or more aggressive merge of a
+        // quarantined capacity is skipped too.
+        let capacity = CapacityVector::of(&cand_mini)?;
+        let skip = match self.rule_filter.quarantine_verdict(&signature, &capacity) {
+            Some(verdict) => Some((CandidateStatus::Quarantined, verdict)),
+            // Rule-based filtering (§5.1) before any fine-tuning.
+            None if cfg.rule_filter => self
+                .rule_filter
+                .verdict(&capacity)
+                .map(|verdict| (CandidateStatus::RuleFiltered, verdict)),
+            None => None,
+        };
+        slot.screened = match skip {
+            Some((status, verdict)) => Screened::Skipped {
+                status,
+                reason: verdict.as_str(),
+                latency_ms,
+            },
+            None => Screened::Survivor(Box::new(Candidate {
+                mini: cand_mini,
+                paper: cand_paper,
+                signature,
+                capacity,
+                latency_ms,
+                objective,
+            })),
+        };
+        Ok(slot)
+    }
+
+    /// Counts a skipped iteration and charges its overhead.
+    fn skip(&mut self, status: CandidateStatus, reason: &'static str, latency_ms: f64) -> Step {
+        match status {
+            CandidateStatus::Duplicate => {
+                self.duplicates += 1;
+                self.clock.charge_overhead(1.0);
+                gmorph_telemetry::counter!("search.duplicates");
+                gmorph_telemetry::counter!("search.dedup_hit");
+            }
+            CandidateStatus::Quarantined => {
+                self.quarantined += 1;
+                self.clock.charge_overhead(2.0);
+                gmorph_telemetry::counter!("search.quarantine_skipped");
+                gmorph_telemetry::counter!("filter.rule.quarantined");
+            }
+            CandidateStatus::RuleFiltered => {
+                self.rule_filtered += 1;
+                self.clock.charge_overhead(2.0);
+                gmorph_telemetry::counter!("search.rule_filtered");
+                if gmorph_telemetry::enabled() {
+                    gmorph_telemetry::counter!(&format!("filter.rule.{reason}"));
+                }
+            }
+            _ => gmorph_telemetry::counter!("search.no_mutation"),
+        }
+        Step {
+            status,
+            reason,
+            drop: f32::NAN,
+            met: false,
+            latency_ms,
+            epochs: 0,
+        }
+    }
+
+    /// Steps 3–4 for an evaluated candidate: charges the clock, applies the
+    /// virtual deadline, and updates the policy, quarantine, elites and
+    /// best model.
+    fn fold(
+        &mut self,
+        cfg: &SearchConfig,
+        iter: usize,
+        cand: Candidate,
+        outcome: std::result::Result<Evaluation, FailureReport>,
+    ) -> Result<Step> {
+        // Charge the virtual clock, then apply the deterministic
+        // virtual-clock deadline: a candidate whose fine-tuning cost blew
+        // the per-candidate budget is a timeout even if it converged.
+        let clock_before = self.clock.seconds();
+        let outcome = match outcome {
+            Ok(evaluation) => {
+                let paper_flops = cand.paper.flops()?;
+                self.clock
+                    .charge_finetune(paper_flops, evaluation.result.epochs_run);
+                self.clock
+                    .charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
+                let spent_hours = (self.clock.seconds() - clock_before) / 3600.0;
+                match cfg.supervisor.virtual_deadline_hours {
+                    Some(limit) if spent_hours > limit => Err(FailureReport {
+                        kind: gmorph_tensor::FailureKind::Timeout,
+                        attempts: 1,
+                        message: format!(
+                            "virtual cost {spent_hours:.3}h exceeds the \
+                             {limit:.3}h per-candidate budget"
+                        ),
+                    }),
+                    _ => Ok(evaluation),
+                }
+            }
+            Err(report) => {
+                // Failed attempts still consumed search time.
+                self.clock.charge_overhead(2.0 * report.attempts as f64);
+                Err(report)
+            }
+        };
+        let evaluation = match outcome {
+            Ok(evaluation) => evaluation,
+            Err(report) => {
+                // A failed candidate is quarantined and reads as maximally
+                // bad to the SA policy: elites stay preferable and the
+                // temperature schedule sees a rejection, not a hole.
+                self.failed += 1;
+                self.policy.observe_drop(1.0);
+                gmorph_telemetry::counter!("search.failed");
+                gmorph_telemetry::counter!("eval.quarantine");
+                gmorph_telemetry::point!(
+                    "eval.quarantine",
+                    iter = iter,
+                    kind = report.kind.as_str(),
+                    attempts = report.attempts,
+                    signature = cand.signature.as_str(),
+                    error = report.message.as_str()
+                );
+                self.rule_filter
+                    .record_quarantine(cand.signature, cand.capacity);
+                return Ok(Step {
+                    status: CandidateStatus::Failed,
+                    reason: report.kind.as_str(),
+                    drop: f32::NAN,
+                    met: false,
+                    latency_ms: cand.latency_ms,
+                    epochs: 0,
+                });
+            }
+        };
+        let result = &evaluation.result;
+        self.evaluated += 1;
+        self.policy.observe_drop(result.final_drop.max(0.0));
+        if result.terminated_early {
+            self.early_terminated += 1;
+        }
+
+        // Step 4: elites and best model.
+        let step = Step {
+            status: if result.terminated_early {
+                CandidateStatus::TerminatedEarly
+            } else {
+                CandidateStatus::Evaluated
+            },
+            reason: "rejected_drop",
+            drop: result.final_drop,
+            met: result.met_target,
+            latency_ms: cand.latency_ms,
+            epochs: result.epochs_run,
+        };
+        gmorph_telemetry::counter!("search.evaluated");
+        if result.terminated_early {
+            gmorph_telemetry::counter!("search.early_terminated");
+        }
+        if !step.met {
+            if cfg.rule_filter {
+                self.rule_filter.record_failure(cand.capacity);
+            }
+            gmorph_telemetry::counter!("search.rejected");
+            return Ok(step);
+        }
+        let best_objective = match cfg.objective {
+            Objective::Latency => self.best.latency_ms,
+            Objective::Flops => self.best.paper.flops()? as f64,
+        };
+        let reason = if cand.objective < best_objective {
+            self.best = BestModel {
+                mini: cand.mini.clone(),
+                paper: cand.paper.clone(),
+                weights: evaluation.weights.clone(),
+                latency_ms: cand.latency_ms,
+                drop: result.final_drop,
+                scores: result.final_scores.clone(),
+            };
+            gmorph_telemetry::counter!("search.best_improved");
+            "accepted_best"
+        } else {
+            "accepted_elite"
+        };
+        self.history.add_elite(Elite::new(
+            cand.mini,
+            cand.paper,
+            evaluation.weights,
+            evaluation.result.final_drop,
+            cand.latency_ms,
+            evaluation.result.final_scores,
+        ));
+        gmorph_telemetry::counter!("search.accepted");
+        Ok(Step { reason, ..step })
+    }
 }
 
 /// Samples a mutation pass and replays it at both scales.
@@ -794,13 +928,13 @@ pub fn propose_candidate(
     Ok(None)
 }
 
-/// Emits the per-iteration `search.iter` telemetry event mirroring the
-/// trace record just pushed. `reason` explains the outcome
-/// (`accepted_best`, `accepted_elite`, `rejected_drop`, `duplicate`,
-/// `exact`/`more_aggressive` for filter verdicts, `no_mutation`);
-/// `cand_nodes`/`rescales` characterize the mutated graph (-1 when no
+/// Emits the per-iteration `search.iter` telemetry event mirroring a
+/// trace record. `reason` explains the outcome (`accepted_best`,
+/// `accepted_elite`, `rejected_drop`, `duplicate`, `exact`/
+/// `more_aggressive` for filter verdicts, `no_mutation`, a failure kind);
+/// `shape` holds the mutated graph's node and `Rescale` counts (-1 when no
 /// candidate was produced).
-fn emit_iter(rec: &TraceRecord, temperature: f32, reason: &str, cand_nodes: i64, rescales: i64) {
+fn emit_iter(rec: &TraceRecord, temperature: f32, reason: &str, shape: (i64, i64)) {
     gmorph_telemetry::counter!("search.iterations");
     gmorph_telemetry::point!(
         "search.iter",
@@ -815,37 +949,9 @@ fn emit_iter(rec: &TraceRecord, temperature: f32, reason: &str, cand_nodes: i64,
         epochs = rec.epochs,
         virtual_hours = rec.virtual_hours,
         temperature = temperature,
-        cand_nodes = cand_nodes,
-        rescales = rescales
+        cand_nodes = shape.0,
+        rescales = shape.1
     );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record(
-    iter: usize,
-    status: CandidateStatus,
-    from_elite: bool,
-    drop: f32,
-    met: bool,
-    cand_latency: f64,
-    best: &BestModel,
-    epochs: usize,
-    clock: &VirtualClock,
-    wall_start: Instant,
-    wall_offset: f64,
-) -> TraceRecord {
-    TraceRecord {
-        iter,
-        status,
-        from_elite,
-        drop,
-        met_target: met,
-        candidate_latency_ms: cand_latency,
-        best_latency_ms: best.latency_ms,
-        epochs,
-        virtual_hours: clock.hours(),
-        wall_seconds: wall_offset + wall_start.elapsed().as_secs_f64(),
-    }
 }
 
 #[cfg(test)]
@@ -1123,6 +1229,79 @@ mod tests {
             base.virtual_hours
         );
         assert_eq!(fast.evaluated, base.evaluated);
+    }
+
+    fn run_rounds(cfg: &SearchConfig, per_round: usize) -> Result<SearchResult> {
+        let (mini, paper, weights, mode) = setup();
+        run_search_checkpointed(&mini, &paper, &weights, &mode, cfg, per_round, None)
+    }
+
+    #[test]
+    fn batched_search_finds_satisfying_speedup() {
+        let r = run_rounds(&quick_cfg(32), 4).unwrap();
+        assert!(r.speedup > 1.0, "speedup {}", r.speedup);
+        assert!(r.best.drop <= 0.02 + 1e-6);
+        r.best.mini.validate().unwrap();
+        r.best.paper.validate().unwrap();
+        // Every iteration is one candidate, evaluated or skipped.
+        assert_eq!(r.trace.len(), 32);
+        assert!(r.evaluated > 0 && r.evaluated <= 32);
+    }
+
+    #[test]
+    fn batched_matches_sequential_quality_roughly() {
+        let seq = run_rounds(&quick_cfg(32), 1).unwrap();
+        let bat = run_rounds(&quick_cfg(32), 4).unwrap();
+        // Same candidate budget: quality within a factor.
+        assert!(bat.speedup > seq.speedup * 0.5, "{} vs {}", bat.speedup, seq.speedup);
+    }
+
+    #[test]
+    fn best_latency_monotone_across_rounds() {
+        let r = run_rounds(&quick_cfg(24), 3).unwrap();
+        for w in r.trace.windows(2) {
+            assert_eq!(w[1].iter, w[0].iter + 1, "trace in iteration order");
+            assert!(w[1].best_latency_ms <= w[0].best_latency_ms + 1e-9);
+            assert!(w[1].virtual_hours >= w[0].virtual_hours);
+        }
+    }
+
+    #[test]
+    fn zero_batch_rejected() {
+        assert!(run_rounds(&quick_cfg(8), 0).is_err());
+    }
+
+    #[test]
+    fn rule_filter_works_in_batched_mode() {
+        let mut cfg = quick_cfg(48);
+        cfg.finetune.target_drop = 0.0;
+        cfg.rule_filter = true;
+        let r = run_rounds(&cfg, 4).unwrap();
+        assert!(r.rule_filtered > 0);
+    }
+
+    #[test]
+    fn a_partial_last_round_keeps_the_candidate_budget() {
+        // 10 iterations in rounds of 4: 4 + 4 + 2, never 12.
+        let r = run_rounds(&quick_cfg(10), 4).unwrap();
+        assert_eq!(r.trace.len(), 10);
+        let iters: Vec<usize> = r.trace.iter().map(|t| t.iter).collect();
+        assert_eq!(iters, (1..=10).collect::<Vec<_>>());
+        assert!(r.evaluated + r.duplicates + r.rule_filtered + r.quarantined + r.failed <= 10);
+    }
+
+    #[test]
+    fn batch_identical_across_thread_counts() {
+        let run = || run_rounds(&quick_cfg(24), 4).unwrap();
+        let one = engine::with_thread_limit(1, run);
+        let four = engine::with_thread_limit(4, run);
+        assert_eq!(one.best.latency_ms.to_bits(), four.best.latency_ms.to_bits());
+        assert_eq!(one.virtual_hours.to_bits(), four.virtual_hours.to_bits());
+        for (a, b) in one.trace.iter().zip(&four.trace) {
+            assert_eq!(a.status, b.status);
+            assert_eq!(a.drop.to_bits(), b.drop.to_bits());
+            assert_eq!(a.epochs, b.epochs);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   analytic model; see DESIGN.md §1),
 //! - [`driver`]: Algorithm 1 — the graph mutation optimization loop with
 //!   predictive filtering and dual-scale (mini + paper) graph tracking,
-//! - [`parallel`]: batch candidate evaluation on worker threads (§7's
-//!   "sampling multiple models in parallel" extension),
+//!   running `K` candidates per round (sequential search is `K = 1`; §7's
+//!   "sampling multiple models in parallel" is `K > 1`),
 //! - [`supervisor`]: resilient candidate evaluation — catch-unwind
 //!   containment, deadlines, retry with LR backoff and reseeded init, and
 //!   failure classification feeding quarantine (DESIGN.md §13),
@@ -20,17 +20,14 @@
 //!   snapshots of the full search state, written atomically on a
 //!   durability schedule, restoring bit-identical runs (DESIGN.md §12).
 
-pub mod batched;
 pub mod checkpoint;
 pub mod driver;
 pub mod evaluator;
 pub mod history;
-pub mod parallel;
 pub mod persist;
 pub mod policy;
 pub mod supervisor;
 
-pub use batched::{run_search_batched, run_search_batched_checkpointed, BatchedResult};
 pub use checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
 pub use driver::{
     run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord,

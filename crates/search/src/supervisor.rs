@@ -12,23 +12,23 @@
 //! - a wall-clock deadline ([`SupervisorConfig::candidate_deadline_ms`]) is
 //!   enforced both inside the fine-tune loop (epoch granularity) and as a
 //!   post-check here,
-//! - an optional tensor-pool byte budget
-//!   ([`SupervisorConfig::pool_byte_budget`]) arms the OOM guard in
-//!   [`gmorph_tensor::buffer`] for the duration of each attempt,
 //! - *transient* failures (panic, non-finite) are retried up to
 //!   [`SupervisorConfig::max_retries`] times with an exponentially
 //!   backed-off learning rate and a **reseeded** initialization drawn from
 //!   an RNG stream disjoint from the search stream,
-//! - *permanent* failures (timeout, OOM-guard: properties of the graph,
-//!   not of the draw) skip retries entirely,
+//! - *permanent* failures (timeouts: properties of the graph, not of the
+//!   draw) skip retries entirely,
 //! - exhausted candidates come back as a [`FailureReport`] the driver
 //!   quarantines by graph signature.
 //!
 //! # Determinism
 //!
-//! Attempt 0 consumes the main search RNG exactly like an unsupervised
+//! Attempt 0 draws from the RNG the caller passes. With one candidate per
+//! round that is the main search RNG, consumed exactly like an unsupervised
 //! evaluation, so a clean run under the default config is bit-identical to
-//! the pre-supervisor driver. Retry attempts use fresh
+//! the pre-supervisor driver; with several candidates evaluated in parallel
+//! it is the candidate's own `Rng::new(retry_seed(seed, iter, 0))`.
+//! Retry attempts use fresh
 //! `Rng::new(retry_seed(..))` streams derived from `(seed, iter, attempt)`
 //! — they never touch the search stream, so a retried candidate perturbs
 //! nothing downstream and kill/resume at the retry boundary replays
@@ -41,7 +41,6 @@ use std::time::Instant;
 use crate::evaluator::{EvalMode, Evaluation};
 use gmorph_graph::{AbsGraph, WeightStore};
 use gmorph_perf::accuracy::FinetuneConfig;
-use gmorph_tensor::buffer;
 use gmorph_tensor::error::{self, FailureKind, FaultSpec};
 use gmorph_tensor::rng::Rng;
 
@@ -49,8 +48,8 @@ use gmorph_tensor::rng::Rng;
 ///
 /// The default configuration is *inert*: no retries beyond the two bounded
 /// re-attempts would ever trigger on a healthy candidate, no deadlines, no
-/// byte budget, no fault injection — and attempt 0 uses the main search
-/// RNG, so default-config runs are bit-identical to unsupervised ones.
+/// fault injection — and attempt 0 uses the RNG it is given, so
+/// default-config runs are bit-identical to unsupervised ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Bounded retry attempts after the first try (transient failures
@@ -67,10 +66,6 @@ pub struct SupervisorConfig {
     /// Learning-rate multiplier applied per retry attempt
     /// (`lr * backoff^attempt`).
     pub lr_backoff: f32,
-    /// Tensor-pool byte budget armed during each attempt (the OOM guard).
-    /// Process-global: meaningful for the sequential driver, advisory for
-    /// the parallel batched path.
-    pub pool_byte_budget: Option<usize>,
     /// Fault injection (from `GMORPH_FAULT`): poisons the candidate at the
     /// configured iteration on *every* attempt — a faulty graph stays
     /// faulty, which is what drives it into quarantine.
@@ -84,7 +79,6 @@ impl Default for SupervisorConfig {
             candidate_deadline_ms: None,
             virtual_deadline_hours: None,
             lr_backoff: 0.5,
-            pool_byte_budget: None,
             fault: None,
         }
     }
@@ -101,12 +95,13 @@ pub struct FailureReport {
     pub message: String,
 }
 
-/// Derives the RNG seed for retry attempt `attempt` (≥ 1) of iteration
-/// `iter`.
+/// Derives the RNG seed for attempt `attempt` of iteration `iter`: retries
+/// (≥ 1) always, and attempt 0 when a round evaluates several candidates
+/// in parallel.
 ///
 /// The constant salt keeps the derived seeds out of the search stream's
-/// seed space (`cfg.seed ^ 0x5EA_4C4`) and the parallel batch's per-index
-/// space; distinct `(iter, attempt)` pairs map to distinct seeds.
+/// seed space (`cfg.seed ^ 0x5EA_4C4`); distinct `(iter, attempt)` pairs
+/// map to distinct seeds.
 pub fn retry_seed(seed: u64, iter: usize, attempt: usize) -> u64 {
     seed ^ 0xF0A1_7E57_D00D_0000u64
         ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -166,18 +161,10 @@ pub fn evaluate_supervised(
             }
         }
 
-        // Arm the pool OOM guard for this attempt only. The guard is
-        // process-global; resetting the served-bytes counter per attempt
-        // gives each attempt the full budget.
-        let armed = sup.pool_byte_budget.is_some();
-        if armed {
-            buffer::reset_served_bytes();
-            buffer::set_byte_budget(sup.pool_byte_budget);
-        }
         let started = Instant::now();
         let caught = if attempt == 0 {
-            // First attempt: the main search stream, bit-compatible with
-            // an unsupervised evaluation.
+            // First attempt: the caller's stream, bit-compatible with an
+            // unsupervised evaluation.
             catch_unwind(AssertUnwindSafe(|| {
                 mode.evaluate(candidate, base_weights, &cfg, rng, noise_salt)
             }))
@@ -190,10 +177,6 @@ pub fn evaluate_supervised(
                 mode.evaluate(candidate, base_weights, &cfg, &mut retry_rng, salt)
             }))
         };
-        if armed {
-            buffer::set_byte_budget(None);
-            buffer::reset_served_bytes();
-        }
 
         let outcome = match caught {
             Ok(res) => res,

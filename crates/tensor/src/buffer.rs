@@ -44,54 +44,6 @@ static BUCKETS: [Mutex<Vec<Vec<f32>>>; NBUCKETS] =
     [const { Mutex::new(Vec::new()) }; NBUCKETS];
 static POOLED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// OOM guard: bytes served by [`take`]/[`take_uninit`] since the last
-/// [`reset_served_bytes`], and the optional budget they are checked
-/// against. `usize::MAX` means "no budget" — the accounting adds are
-/// skipped entirely so the default hot path is unchanged.
-static SERVED_BYTES: AtomicUsize = AtomicUsize::new(0);
-static BYTE_BUDGET: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-#[inline]
-fn note_served(len: usize) {
-    if BYTE_BUDGET.load(Ordering::Relaxed) != usize::MAX {
-        SERVED_BYTES.fetch_add(len * 4, Ordering::Relaxed);
-    }
-}
-
-/// Installs (or clears, with `None`) the per-evaluation byte budget the
-/// supervisor's OOM guard checks. Process-global, like the pool itself:
-/// intended for the sequential search loop, where the supervisor resets
-/// the counter before each candidate attempt.
-pub fn set_byte_budget(budget: Option<usize>) {
-    BYTE_BUDGET.store(budget.unwrap_or(usize::MAX), Ordering::Relaxed);
-}
-
-/// The currently-installed OOM-guard budget, if any.
-pub fn byte_budget() -> Option<usize> {
-    match BYTE_BUDGET.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        b => Some(b),
-    }
-}
-
-/// Zeroes the served-bytes counter (call at the start of an attempt).
-pub fn reset_served_bytes() {
-    SERVED_BYTES.store(0, Ordering::Relaxed);
-}
-
-/// Bytes served by the pool since the last [`reset_served_bytes`]. Only
-/// accounted while a budget is installed.
-pub fn served_bytes() -> usize {
-    SERVED_BYTES.load(Ordering::Relaxed)
-}
-
-/// Returns `Some((served, budget))` when the installed budget is blown.
-pub fn budget_exceeded() -> Option<(usize, usize)> {
-    let budget = byte_budget()?;
-    let served = served_bytes();
-    (served > budget).then_some((served, budget))
-}
-
 /// Tri-state enable override: -1 unset (consult env), 0 off, 1 on.
 static ENABLED: AtomicI8 = AtomicI8::new(-1);
 
@@ -176,7 +128,6 @@ fn fresh(len: usize) -> Vec<f32> {
 /// Use for accumulation targets (GEMM output, gradient sums) that assume
 /// zero-initialized storage.
 pub fn take(len: usize) -> Vec<f32> {
-    note_served(len);
     if !enabled() || len < MIN_POOL_LEN {
         return vec![0.0; len];
     }
@@ -201,7 +152,6 @@ pub fn take(len: usize) -> Vec<f32> {
 /// Only for callers that overwrite every element before reading — packing
 /// buffers and im2col scratch qualify.
 pub fn take_uninit(len: usize) -> Vec<f32> {
-    note_served(len);
     if !enabled() || len < MIN_POOL_LEN {
         return vec![0.0; len];
     }
@@ -340,35 +290,6 @@ mod tests {
         assert_eq!(pooled_bytes(), cap * 4);
         let _b = take(1024);
         assert_eq!(pooled_bytes(), 0);
-        set_enabled(None);
-        clear();
-    }
-
-    #[test]
-    fn byte_budget_guard_trips_only_when_installed() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(Some(true));
-        clear();
-        // No budget: served bytes are not even accounted.
-        set_byte_budget(None);
-        reset_served_bytes();
-        give(take(4096));
-        assert_eq!(served_bytes(), 0);
-        assert_eq!(budget_exceeded(), None);
-        // Generous budget: accounting is live, guard stays quiet. Other
-        // tests' concurrent take() calls may also be counted while our
-        // budget is installed, so assertions are lower bounds.
-        set_byte_budget(Some(1 << 40));
-        reset_served_bytes();
-        give(take(1024));
-        assert!(served_bytes() >= 4096);
-        assert_eq!(budget_exceeded(), None);
-        // Tiny budget: the next allocation must trip the guard.
-        set_byte_budget(Some(1));
-        give(take(2048));
-        let (served, budget) = budget_exceeded().expect("guard trips");
-        assert!(served >= 8192 && budget == 1);
-        set_byte_budget(None);
         set_enabled(None);
         clear();
     }

@@ -30,6 +30,7 @@
 
 use crate::{Result, TensorError};
 use std::io::Write;
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 /// Envelope magic: "GMCP".
@@ -497,14 +498,20 @@ impl CheckpointOptions {
 
     /// Executes the crash hook when `iter` is the configured point.
     pub fn maybe_crash(&self, iter: usize) {
+        self.maybe_crash_round(iter..=iter)
+    }
+
+    /// Executes the crash hook when the configured point lies in a round
+    /// of iterations that has just been checkpointed.
+    pub fn maybe_crash_round(&self, iters: RangeInclusive<usize>) {
         if let Some((at, kind)) = self.crash_after {
-            if iter == at {
+            if iters.contains(&at) {
                 match kind {
                     CrashKind::Panic => {
-                        panic!("GMORPH_CRASH_AFTER: simulated crash at iteration {iter}")
+                        panic!("GMORPH_CRASH_AFTER: simulated crash at iteration {at}")
                     }
                     CrashKind::Abort => {
-                        eprintln!("GMORPH_CRASH_AFTER: aborting at iteration {iter}");
+                        eprintln!("GMORPH_CRASH_AFTER: aborting at iteration {at}");
                         std::process::abort();
                     }
                 }
@@ -515,8 +522,9 @@ impl CheckpointOptions {
 
 /// Writes snapshots on a durability schedule with rotation.
 ///
-/// `tick` is called once per completed iteration with the fresh snapshot;
-/// it writes to disk every `every` iterations and keeps the latest
+/// `tick` is called once per completed iteration (`tick_round` once per
+/// completed round of iterations) with the fresh snapshot; it writes to
+/// disk every `every` iterations and keeps the latest
 /// snapshot *pending* in between. `Drop` flushes the pending snapshot —
 /// and `Drop` runs during panic unwinding, so a panicking run loses zero
 /// completed iterations. (An aborted process skips `Drop`; its loss is
@@ -562,8 +570,16 @@ impl CheckpointManager {
     /// Accepts the snapshot for a completed iteration; writes it out when
     /// the iteration hits the durability schedule.
     pub fn tick(&mut self, iter: usize, env: Envelope) -> Result<()> {
-        self.pending = Some((iter, env));
-        if iter.is_multiple_of(self.every) {
+        self.tick_round(iter..=iter, env)
+    }
+
+    /// Accepts the one snapshot taken after a round of iterations, filed
+    /// under the round's last; writes it out when any iteration of the
+    /// round hits the durability schedule.
+    pub fn tick_round(&mut self, iters: RangeInclusive<usize>, env: Envelope) -> Result<()> {
+        let due = iters.clone().any(|i| i.is_multiple_of(self.every));
+        self.pending = Some((*iters.end(), env));
+        if due {
             self.flush()?;
         }
         Ok(())
@@ -833,6 +849,36 @@ mod tests {
         assert_eq!(on_disk_iters(&dir, "rew"), vec![2, 3]);
         drop(second);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_round_holding_a_multiple_of_every_is_written() {
+        let dir = std::env::temp_dir().join(format!("gmorph-ckpt-round-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut opts = CheckpointOptions::new(&dir);
+        opts.every = 5;
+        opts.keep = 8;
+        let mut mgr = CheckpointManager::new(&opts, "round");
+        // Rounds of 4: 1–4 holds no multiple of 5, 5–8 and 9–12 each hold
+        // one; each snapshot is filed under its round's last iteration.
+        for first in [1, 5, 9] {
+            mgr.tick_round(first..=first + 3, sample()).unwrap();
+        }
+        assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12]);
+        mgr.tick_round(13..=14, sample()).unwrap();
+        assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12]);
+        drop(mgr); // Flushes the pending partial round.
+        assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12, 14]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_crash_hook_fires_after_the_round_holding_its_iteration() {
+        let mut opts = CheckpointOptions::new(std::env::temp_dir());
+        opts.crash_after = Some((6, CrashKind::Panic));
+        opts.maybe_crash_round(1..=4);
+        opts.maybe_crash_round(7..=8);
+        assert!(std::panic::catch_unwind(|| opts.maybe_crash_round(5..=8)).is_err());
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub enum FailureKind {
     NonFinite,
     /// The candidate exceeded its wall-clock or virtual-clock deadline.
     Timeout,
-    /// The tensor-pool byte budget was exceeded (OOM guard).
+    /// The tensor-pool byte budget was exceeded (OOM guard). Nothing
+    /// raises it any more; the wire name stays so older traces parse.
     OomGuard,
     /// A structural error: bad shapes, ranks, or graph construction.
     Graph,
@@ -224,15 +225,6 @@ pub fn timeout(op: &'static str, msg: impl Into<String>) -> TensorError {
 pub fn panic_failure(op: &'static str, msg: impl Into<String>) -> TensorError {
     TensorError::Failed {
         kind: FailureKind::Panic,
-        op,
-        msg: msg.into(),
-    }
-}
-
-/// Shorthand: a classified OOM-guard failure as a [`TensorError`].
-pub fn oom_guard(op: &'static str, msg: impl Into<String>) -> TensorError {
-    TensorError::Failed {
-        kind: FailureKind::OomGuard,
         op,
         msg: msg.into(),
     }

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 use gmorph::graph::persist::encode_model_bytes;
 use gmorph::models::train::{train_teacher_checkpointed, TrainConfig};
 use gmorph::prelude::*;
-use gmorph::search::batched::{run_search_batched_checkpointed, BatchedResult};
 use gmorph::search::driver::run_search_checkpointed;
 use gmorph::search::evaluator::EvalMode;
 use gmorph::search::{CheckpointOptions, CrashKind};
@@ -138,12 +137,14 @@ fn assert_same_result(a: &SearchResult, b: &SearchResult, what: &str) {
     }
 }
 
-/// Runs the search to completion with a crash injected at `interrupt`,
-/// then resumes from disk and returns the resumed result.
+/// Runs the search, `per_round` candidates per round, with a crash
+/// injected at `interrupt` (after the round holding it), then resumes
+/// from disk and returns the resumed result.
 fn crash_and_resume(
     session: &Session,
     mode: &EvalMode,
     cfg: &gmorph::search::SearchConfig,
+    per_round: usize,
     dir: PathBuf,
     interrupt: usize,
 ) -> SearchResult {
@@ -157,6 +158,7 @@ fn crash_and_resume(
             &session.weights,
             mode,
             cfg,
+            per_round,
             Some(&opts),
         )
     }));
@@ -171,149 +173,62 @@ fn crash_and_resume(
         &session.weights,
         mode,
         cfg,
+        per_round,
         Some(&resume),
     )
     .unwrap()
 }
 
 /// The tentpole acceptance test: ≥3 interrupt points, at 1 and 4 kernel
-/// threads, each resumed run bit-identical to the uninterrupted one.
+/// threads, one and four candidates per round, each resumed run
+/// bit-identical to the uninterrupted one.
 #[test]
 fn resume_is_bit_identical_at_every_interrupt_point() {
     let session = smoke_session(7);
     let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
     let cfg = search_cfg(&session, 24);
 
-    let reference = run_search_checkpointed(
-        &session.mini_graph,
-        &session.paper_graph,
-        &session.weights,
-        &mode,
-        &cfg,
-        None,
-    )
-    .unwrap();
-    assert_eq!(reference.trace.len(), 24);
-    // Guard against a vacuous scenario: the replayed iterations must
-    // exercise the elite-sampling path, which only happens once some
-    // candidate met the accuracy target. (An earlier version of this
-    // test used a configuration where nothing was ever accepted — it
-    // passed even with elite arena-id restoration broken.)
-    assert!(reference.speedup > 1.0, "scenario found nothing: useless");
-    let first_hit = reference
-        .trace
-        .iter()
-        .find(|r| r.met_target)
-        .map(|r| r.iter)
-        .expect("no candidate met the target");
-    assert!(
-        first_hit <= 12,
-        "first accepted candidate at iter {first_hit}; interrupts must land after it"
-    );
-
-    for threads in [1usize, 4] {
-        for interrupt in [3usize, 12, 20] {
-            let dir = scratch_dir(&format!("t{threads}-i{interrupt}"));
-            let resumed = engine::with_thread_limit(threads, || {
-                crash_and_resume(&session, &mode, &cfg, dir.clone(), interrupt)
-            });
-            assert_same_result(
-                &reference,
-                &resumed,
-                &format!("threads={threads} interrupt={interrupt}"),
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-}
-
-fn assert_same_batched(a: &BatchedResult, b: &BatchedResult, what: &str) {
-    assert_eq!(
-        a.best_mini.signature(),
-        b.best_mini.signature(),
-        "{what}: best mini"
-    );
-    assert_eq!(
-        a.best_paper.signature(),
-        b.best_paper.signature(),
-        "{what}: best paper"
-    );
-    assert_eq!(
-        a.best_latency_ms.to_bits(),
-        b.best_latency_ms.to_bits(),
-        "{what}: best latency"
-    );
-    assert_eq!(a.speedup.to_bits(), b.speedup.to_bits(), "{what}: speedup");
-    assert_eq!(a.rounds.len(), b.rounds.len(), "{what}: round count");
-    for (i, (x, y)) in a.rounds.iter().zip(&b.rounds).enumerate() {
-        assert_eq!(x.round, y.round, "{what}: rounds[{i}].round");
-        assert_eq!(x.evaluated, y.evaluated, "{what}: rounds[{i}].evaluated");
-        assert_eq!(x.skipped, y.skipped, "{what}: rounds[{i}].skipped");
-        assert_eq!(
-            x.best_latency_ms.to_bits(),
-            y.best_latency_ms.to_bits(),
-            "{what}: rounds[{i}].best_latency_ms"
-        );
-        assert_eq!(
-            x.virtual_hours.to_bits(),
-            y.virtual_hours.to_bits(),
-            "{what}: rounds[{i}].virtual_hours"
-        );
-    }
-}
-
-#[test]
-fn batched_resume_is_bit_identical() {
-    let session = smoke_session(7);
-    let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
-    let cfg = search_cfg(&session, 24);
-    let batch = 6usize; // 4 rounds.
-
-    let reference = run_search_batched_checkpointed(
-        &session.mini_graph,
-        &session.paper_graph,
-        &session.weights,
-        &mode,
-        &cfg,
-        batch,
-        None,
-    )
-    .unwrap();
-    assert_eq!(reference.rounds.len(), 4);
-    assert!(reference.speedup > 1.0, "scenario found nothing: useless");
-
-    let dir = scratch_dir("batched");
-    let mut opts = CheckpointOptions::new(dir.clone());
-    opts.every = 1;
-    opts.crash_after = Some((2, CrashKind::Panic));
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        run_search_batched_checkpointed(
+    for per_round in [1usize, 4] {
+        let reference = run_search_checkpointed(
             &session.mini_graph,
             &session.paper_graph,
             &session.weights,
             &mode,
             &cfg,
-            batch,
-            Some(&opts),
+            per_round,
+            None,
         )
-    }));
-    assert!(crashed.is_err(), "crash at round 2 must panic");
+        .unwrap();
+        assert_eq!(reference.trace.len(), 24);
+        // Guard against a vacuous scenario: the replayed iterations must
+        // exercise the elite-sampling path, which only happens once some
+        // candidate met the accuracy target. (An earlier version of this
+        // test used a configuration where nothing was ever accepted — it
+        // passed even with elite arena-id restoration broken.)
+        assert!(reference.speedup > 1.0, "scenario found nothing: useless");
+        let first_hit = reference
+            .trace
+            .iter()
+            .find(|r| r.met_target)
+            .map(|r| r.iter)
+            .expect("no candidate met the target");
+        assert!(
+            first_hit <= 12,
+            "first accepted candidate at iter {first_hit}; interrupts must land after it"
+        );
 
-    let mut resume = CheckpointOptions::new(dir.clone());
-    resume.every = 1;
-    resume.resume = true;
-    let resumed = run_search_batched_checkpointed(
-        &session.mini_graph,
-        &session.paper_graph,
-        &session.weights,
-        &mode,
-        &cfg,
-        batch,
-        Some(&resume),
-    )
-    .unwrap();
-    assert_same_batched(&reference, &resumed, "batched interrupt=2");
-    std::fs::remove_dir_all(&dir).ok();
+        for threads in [1usize, 4] {
+            for interrupt in [3usize, 12, 20] {
+                let what = format!("per_round={per_round} threads={threads} interrupt={interrupt}");
+                let dir = scratch_dir(&format!("k{per_round}-t{threads}-i{interrupt}"));
+                let resumed = engine::with_thread_limit(threads, || {
+                    crash_and_resume(&session, &mode, &cfg, per_round, dir.clone(), interrupt)
+                });
+                assert_same_result(&reference, &resumed, &what);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
 }
 
 /// Satellite: a fine-tune resumed from a checkpoint (model weights +
@@ -396,6 +311,7 @@ fn resume_through_a_faulted_candidate_is_bit_identical() {
         &session.weights,
         &mode,
         &cfg,
+        1,
         None,
     )
     .unwrap();
@@ -416,6 +332,7 @@ fn resume_through_a_faulted_candidate_is_bit_identical() {
         &session.weights,
         &mode,
         &cfg,
+        1,
         None,
     )
     .unwrap();
@@ -425,7 +342,7 @@ fn resume_through_a_faulted_candidate_is_bit_identical() {
     // exhaustion + quarantine) and one iteration after it.
     for interrupt in [fault_iter, fault_iter + 1] {
         let dir = scratch_dir(&format!("fault-i{interrupt}"));
-        let resumed = crash_and_resume(&session, &mode, &cfg, dir.clone(), interrupt);
+        let resumed = crash_and_resume(&session, &mode, &cfg, 1, dir.clone(), interrupt);
         assert_same_result(
             &reference,
             &resumed,
@@ -456,6 +373,7 @@ fn resume_ignores_checkpoints_from_other_configs() {
         &session.weights,
         &mode,
         &cfg_a,
+        1,
         Some(&opts),
     )
     .unwrap();
@@ -466,6 +384,7 @@ fn resume_ignores_checkpoints_from_other_configs() {
         &session.weights,
         &mode,
         &cfg_b,
+        1,
         None,
     )
     .unwrap();
@@ -479,6 +398,7 @@ fn resume_ignores_checkpoints_from_other_configs() {
         &session.weights,
         &mode,
         &cfg_b,
+        1,
         Some(&resume),
     )
     .unwrap();

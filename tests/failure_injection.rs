@@ -178,6 +178,7 @@ fn corrupted_checkpoints_fall_back_never_panic() {
             &session.weights,
             &mode,
             &cfg,
+            1,
             ckpt,
         )
     };

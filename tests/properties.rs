@@ -192,6 +192,7 @@ fn checkpoint_session(bench_id: BenchId, seed: u64) -> (Session, EvalMode, Searc
         &session.weights,
         &mode,
         &cfg,
+        1,
         None,
     )
     .unwrap();
@@ -230,6 +231,7 @@ fn resume_matches_reference(bench_id: BenchId, interrupt: usize, tag: &str) -> R
             &session.weights,
             mode,
             &cfg,
+            1,
             Some(&opts),
         )
     }));
@@ -245,6 +247,7 @@ fn resume_matches_reference(bench_id: BenchId, interrupt: usize, tag: &str) -> R
         &session.weights,
         mode,
         &cfg,
+        1,
         Some(&resume),
     )
     .map_err(|e| format!("resume failed: {e}"))?;
@@ -382,8 +385,8 @@ proptest! {
         seed in 0u64..u64::MAX,
         iter_a in 0usize..10_000,
         iter_b in 0usize..10_000,
-        attempt_a in 1usize..16,
-        attempt_b in 1usize..16,
+        attempt_a in 0usize..16,
+        attempt_b in 0usize..16,
     ) {
         let search_seed = seed ^ 0x5EA_4C4;
         let rs_a = retry_seed(seed, iter_a, attempt_a);

@@ -86,6 +86,7 @@ fn every_written_snapshot_equals_its_canonical_reencoding() {
         &session.weights,
         &mode,
         &cfg,
+        1,
         Some(&opts),
     )
     .unwrap();

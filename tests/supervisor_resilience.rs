@@ -37,12 +37,22 @@ fn smoke_session(seed: u64) -> Session {
 }
 
 fn run(session: &Session, mode: &EvalMode, cfg: &SearchConfig) -> SearchResult {
+    run_rounds(session, mode, cfg, 1)
+}
+
+fn run_rounds(
+    session: &Session,
+    mode: &EvalMode,
+    cfg: &SearchConfig,
+    per_round: usize,
+) -> SearchResult {
     run_search_checkpointed(
         &session.mini_graph,
         &session.paper_graph,
         &session.weights,
         mode,
         cfg,
+        per_round,
         None,
     )
     .unwrap()
@@ -70,64 +80,69 @@ fn first_evaluated_iter(reference: &SearchResult) -> usize {
 
 /// Satellite (a): every fault mode completes the search with the same
 /// iteration count as the clean run, quarantines the offender, and emits
-/// `eval.quarantine` telemetry.
+/// `eval.quarantine` telemetry — with one candidate per round and with
+/// four evaluated in parallel, where the fault poisons only its own
+/// candidate.
 #[test]
 fn injected_faults_are_contained_and_search_completes() {
     let session = smoke_session(7);
     let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
     let cfg = surrogate_cfg(16);
-    let reference = run(&session, &mode, &cfg);
-    assert_eq!(reference.trace.len(), 16);
-    assert_eq!(reference.failed, 0);
-    let fault_iter = first_evaluated_iter(&reference);
+    for per_round in [1usize, 4] {
+        let reference = run_rounds(&session, &mode, &cfg, per_round);
+        assert_eq!(reference.trace.len(), 16);
+        assert_eq!(reference.failed, 0);
+        let fault_iter = first_evaluated_iter(&reference);
 
-    for kind in [FaultKind::NanLoss, FaultKind::GradExplode, FaultKind::PanicEval] {
-        let mut faulted_cfg = cfg.clone();
-        faulted_cfg.supervisor.fault = Some(FaultSpec {
-            kind,
-            at_iter: fault_iter,
-        });
-        let guard = install_test_sink();
-        let faulted = run(&session, &mode, &faulted_cfg);
-        let quarantine_events = counter_value("eval.quarantine");
-        let retry_events = counter_value("eval.retry");
-        drop(guard);
+        for kind in [FaultKind::NanLoss, FaultKind::GradExplode, FaultKind::PanicEval] {
+            let what = format!("{kind:?} per_round={per_round}");
+            let mut faulted_cfg = cfg.clone();
+            faulted_cfg.supervisor.fault = Some(FaultSpec {
+                kind,
+                at_iter: fault_iter,
+            });
+            let guard = install_test_sink();
+            let faulted = run_rounds(&session, &mode, &faulted_cfg, per_round);
+            let quarantine_events = counter_value("eval.quarantine");
+            let retry_events = counter_value("eval.retry");
+            drop(guard);
 
-        // The search completed — same iteration count as the clean run.
-        assert_eq!(
-            faulted.trace.len(),
-            reference.trace.len(),
-            "{kind:?}: search must run to completion"
-        );
-        assert_eq!(faulted.failed, 1, "{kind:?}: exactly one contained failure");
-        assert!(quarantine_events >= 1, "{kind:?}: quarantine not counted");
-        // NanLoss/GradExplode/Panic are all transient: retries happened.
-        assert!(retry_events >= 1, "{kind:?}: transient fault never retried");
-
-        // The offending iteration is recorded as Failed with a NaN drop.
-        let rec = faulted
-            .trace
-            .iter()
-            .find(|r| r.iter == fault_iter)
-            .expect("fault iteration missing from trace");
-        assert_eq!(rec.status, CandidateStatus::Failed, "{kind:?}");
-        assert!(rec.drop.is_nan(), "{kind:?}: failed drop must be NaN");
-        assert!(!rec.met_target, "{kind:?}");
-
-        // Iterations before the fault replay the clean run bit-exactly
-        // (default supervision does not perturb the RNG stream).
-        for (a, b) in reference
-            .trace
-            .iter()
-            .zip(&faulted.trace)
-            .take_while(|(a, _)| a.iter < fault_iter)
-        {
-            assert_eq!(a.status, b.status, "{kind:?}: pre-fault divergence");
+            // The search completed — same iteration count as the clean run.
             assert_eq!(
-                a.candidate_latency_ms.to_bits(),
-                b.candidate_latency_ms.to_bits(),
-                "{kind:?}: pre-fault latency divergence"
+                faulted.trace.len(),
+                reference.trace.len(),
+                "{what}: search must run to completion"
             );
+            assert_eq!(faulted.failed, 1, "{what}: exactly one contained failure");
+            assert!(quarantine_events >= 1, "{what}: quarantine not counted");
+            // NanLoss/GradExplode/Panic are all transient: retries happened.
+            assert!(retry_events >= 1, "{what}: transient fault never retried");
+
+            // The offending iteration is recorded as Failed with a NaN drop.
+            let rec = faulted
+                .trace
+                .iter()
+                .find(|r| r.iter == fault_iter)
+                .expect("fault iteration missing from trace");
+            assert_eq!(rec.status, CandidateStatus::Failed, "{what}");
+            assert!(rec.drop.is_nan(), "{what}: failed drop must be NaN");
+            assert!(!rec.met_target, "{what}");
+
+            // Iterations before the fault replay the clean run bit-exactly
+            // (default supervision does not perturb the RNG stream).
+            for (a, b) in reference
+                .trace
+                .iter()
+                .zip(&faulted.trace)
+                .take_while(|(a, _)| a.iter < fault_iter)
+            {
+                assert_eq!(a.status, b.status, "{what}: pre-fault divergence");
+                assert_eq!(
+                    a.candidate_latency_ms.to_bits(),
+                    b.candidate_latency_ms.to_bits(),
+                    "{what}: pre-fault latency divergence"
+                );
+            }
         }
     }
 }

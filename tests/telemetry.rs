@@ -44,8 +44,12 @@ fn field_str<'a>(e: &'a Event, name: &str) -> Option<&'a str> {
 fn traced_optimize_reconstructs_search_result() {
     let guard = install_test_sink();
     let session = quick_session(11);
+    // Rounds of four candidates evaluated in parallel, the last one
+    // partial (4 + 4 + 4 + 2): the stream still holds one `search.iter`
+    // per candidate, in iteration order.
     let cfg = OptimizationConfig {
-        iterations: 12,
+        iterations: 14,
+        candidates_per_round: 4,
         accuracy_threshold: 0.02,
         seed: 11,
         ..Default::default()
