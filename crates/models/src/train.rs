@@ -327,10 +327,10 @@ pub fn train_teacher_checkpointed(
         scores.push(score);
         if let Some(mgr) = manager.as_mut() {
             let env = encode_teacher(model, &opt, &rng, &scores, epoch, fingerprint);
-            mgr.tick(epoch, env)?;
+            mgr.tick(epoch..=epoch, env)?;
         }
         if let Some(opts) = ckpt {
-            opts.maybe_crash(epoch);
+            opts.maybe_crash(epoch..=epoch);
         }
     }
     let final_score = scores.last().copied().unwrap_or(0.0);

@@ -750,6 +750,20 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_match_those_of_snapshots_written_before_the_budget_removal() {
+        // Values computed by the build that still had
+        // `SupervisorConfig::pool_byte_budget`: its snapshots must resume.
+        let g = sample_snapshot().best.mini;
+        let mut cfg = SearchConfig::default();
+        assert_eq!(config_fingerprint(&cfg, &g, &g), 0x8eb4_b2db_072d_1921);
+        cfg.supervisor.fault = Some(gmorph_tensor::FaultSpec {
+            kind: gmorph_tensor::FaultKind::PanicEval,
+            at_iter: 3,
+        });
+        assert_eq!(config_fingerprint(&cfg, &g, &g), 0xb1f2_14e6_f904_6b5f);
+    }
+
+    #[test]
     fn schema_skew_is_rejected() {
         let snap = sample_snapshot();
         let mut env = snap.encode().unwrap();
@@ -767,7 +781,7 @@ mod tests {
         for iter in 1..=6 {
             let mut snap = sample_snapshot();
             snap.state.next_iter = iter + 1;
-            mgr.tick(iter, snap.encode().unwrap()).unwrap();
+            mgr.tick(iter..=iter, snap.encode().unwrap()).unwrap();
         }
         // Writes at 2, 4, 6; rotation keeps the newest 2.
         let found = snapshot_files(&dir, SEARCH_KIND);
@@ -785,7 +799,7 @@ mod tests {
         opts.every = 100; // Never hits the schedule.
         {
             let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-            mgr.tick(3, sample_snapshot().encode().unwrap()).unwrap();
+            mgr.tick(3..=3, sample_snapshot().encode().unwrap()).unwrap();
         } // Drop writes iteration 3.
         assert_eq!(snapshot_files(&dir, SEARCH_KIND).len(), 1);
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
@@ -799,10 +813,10 @@ mod tests {
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
         let mut a = sample_snapshot();
         a.state.next_iter = 2;
-        mgr.tick(1, a.encode().unwrap()).unwrap();
+        mgr.tick(1..=1, a.encode().unwrap()).unwrap();
         let mut b = sample_snapshot();
         b.state.next_iter = 3;
-        mgr.tick(2, b.encode().unwrap()).unwrap();
+        mgr.tick(2..=2, b.encode().unwrap()).unwrap();
         // Corrupt the newest in place.
         let newest = dir.join(format!("{SEARCH_KIND}-000002.gmck"));
         let mut bytes = std::fs::read(&newest).unwrap();
@@ -819,7 +833,7 @@ mod tests {
         let dir = tmp_dir("fpr");
         let opts = CheckpointOptions::new(&dir);
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-        mgr.tick(1, sample_snapshot().encode().unwrap()).unwrap();
+        mgr.tick(1..=1, sample_snapshot().encode().unwrap()).unwrap();
         assert!(load_latest_search(&dir, 0xDEAD).unwrap().is_none());
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -831,11 +845,11 @@ mod tests {
         // process env); exercise the parser via a direct call path by
         // checking maybe_crash is a no-op when unset.
         let opts = CheckpointOptions::new(std::env::temp_dir());
-        opts.maybe_crash(5); // No crash configured: must return.
+        opts.maybe_crash(5..=5); // No crash configured: must return.
         let mut with = opts.clone();
         with.crash_after = Some((3, CrashKind::Panic));
-        with.maybe_crash(2); // Wrong iteration: must return.
-        let err = std::panic::catch_unwind(|| with.maybe_crash(3)).unwrap_err();
+        with.maybe_crash(2..=2); // Wrong iteration: must return.
+        let err = std::panic::catch_unwind(|| with.maybe_crash(3..=3)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("simulated crash"), "{msg}");
     }

@@ -449,10 +449,10 @@ pub fn run_search_checkpointed(
         // Snapshot the completed round; the manager decides whether it
         // hits the disk now or stays pending (flushed on drop).
         if let Some(mgr) = manager.as_mut() {
-            mgr.tick_round(first..=last, state.snapshot(fingerprint, last + 1, wall())?)?;
+            mgr.tick(first..=last, state.snapshot(fingerprint, last + 1, wall())?)?;
         }
         if let Some(opts) = ckpt {
-            opts.maybe_crash_round(first..=last);
+            opts.maybe_crash(first..=last);
         }
         first = last + 1;
     }

@@ -28,12 +28,11 @@
 //! evaluation, so a clean run under the default config is bit-identical to
 //! the pre-supervisor driver; with several candidates evaluated in parallel
 //! it is the candidate's own `Rng::new(retry_seed(seed, iter, 0))`.
-//! Retry attempts use fresh
-//! `Rng::new(retry_seed(..))` streams derived from `(seed, iter, attempt)`
-//! — they never touch the search stream, so a retried candidate perturbs
-//! nothing downstream and kill/resume at the retry boundary replays
-//! bit-exactly (checkpoints snapshot the search RNG per iteration; the
-//! retry streams are reconstructed from scratch).
+//! Retry attempts use fresh `Rng::new(retry_seed(..))` streams derived
+//! from `(seed, iter, attempt)` — they never touch the search stream, so a
+//! retried candidate perturbs nothing downstream and kill/resume at the
+//! retry boundary replays bit-exactly (checkpoints snapshot the search RNG
+//! per round; the retry streams are reconstructed from scratch).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;

@@ -496,14 +496,9 @@ impl CheckpointOptions {
         iter.trim().parse::<usize>().ok().map(|i| (i, kind))
     }
 
-    /// Executes the crash hook when `iter` is the configured point.
-    pub fn maybe_crash(&self, iter: usize) {
-        self.maybe_crash_round(iter..=iter)
-    }
-
-    /// Executes the crash hook when the configured point lies in a round
-    /// of iterations that has just been checkpointed.
-    pub fn maybe_crash_round(&self, iters: RangeInclusive<usize>) {
+    /// Executes the crash hook when the configured point lies in `iters`,
+    /// the iteration (`n..=n`) or round of iterations just checkpointed.
+    pub fn maybe_crash(&self, iters: RangeInclusive<usize>) {
         if let Some((at, kind)) = self.crash_after {
             if iters.contains(&at) {
                 match kind {
@@ -522,9 +517,9 @@ impl CheckpointOptions {
 
 /// Writes snapshots on a durability schedule with rotation.
 ///
-/// `tick` is called once per completed iteration (`tick_round` once per
-/// completed round of iterations) with the fresh snapshot; it writes to
-/// disk every `every` iterations and keeps the latest
+/// `tick` is called once per completed iteration (or round of iterations)
+/// with the fresh snapshot; it writes to disk every `every` iterations and
+/// keeps the latest
 /// snapshot *pending* in between. `Drop` flushes the pending snapshot —
 /// and `Drop` runs during panic unwinding, so a panicking run loses zero
 /// completed iterations. (An aborted process skips `Drop`; its loss is
@@ -567,16 +562,10 @@ impl CheckpointManager {
         self.dir.join(format!("{}-{iter:06}.gmck", self.prefix))
     }
 
-    /// Accepts the snapshot for a completed iteration; writes it out when
-    /// the iteration hits the durability schedule.
-    pub fn tick(&mut self, iter: usize, env: Envelope) -> Result<()> {
-        self.tick_round(iter..=iter, env)
-    }
-
-    /// Accepts the one snapshot taken after a round of iterations, filed
-    /// under the round's last; writes it out when any iteration of the
-    /// round hits the durability schedule.
-    pub fn tick_round(&mut self, iters: RangeInclusive<usize>, env: Envelope) -> Result<()> {
+    /// Accepts the snapshot taken after the completed iteration (`n..=n`)
+    /// or round of iterations `iters`, filed under the last; writes it out
+    /// when any of them hits the durability schedule.
+    pub fn tick(&mut self, iters: RangeInclusive<usize>, env: Envelope) -> Result<()> {
         let due = iters.clone().any(|i| i.is_multiple_of(self.every));
         self.pending = Some((*iters.end(), env));
         if due {
@@ -809,7 +798,7 @@ mod tests {
         // pending iterations 13 and 14 never reach the disk.
         let mut first = CheckpointManager::new(&opts, "rot");
         for iter in 1..=14 {
-            first.tick(iter, sample()).unwrap();
+            first.tick(iter..=iter, sample()).unwrap();
         }
         std::mem::forget(first);
         assert_eq!(on_disk_iters(&dir, "rot"), vec![8, 12]);
@@ -817,13 +806,13 @@ mod tests {
         // one it resumed from) survives until 16 is on disk.
         let mut second = CheckpointManager::new(&opts, "rot");
         for iter in 13..=15 {
-            second.tick(iter, sample()).unwrap();
+            second.tick(iter..=iter, sample()).unwrap();
         }
         assert_eq!(on_disk_iters(&dir, "rot"), vec![8, 12]);
-        second.tick(16, sample()).unwrap();
+        second.tick(16..=16, sample()).unwrap();
         assert_eq!(on_disk_iters(&dir, "rot"), vec![12, 16]);
         for iter in 17..=40 {
-            second.tick(iter, sample()).unwrap();
+            second.tick(iter..=iter, sample()).unwrap();
         }
         drop(second);
         assert_eq!(on_disk_iters(&dir, "rot"), vec![36, 40]);
@@ -838,14 +827,14 @@ mod tests {
         opts.keep = 2;
         let mut first = CheckpointManager::new(&opts, "rew");
         for iter in 1..=2 {
-            first.tick(iter, sample()).unwrap();
+            first.tick(iter..=iter, sample()).unwrap();
         }
         drop(first);
         // A run resumed from iteration 1 (say 2 was corrupt) rewrites 2.
         let mut second = CheckpointManager::new(&opts, "rew");
-        second.tick(2, sample()).unwrap();
+        second.tick(2..=2, sample()).unwrap();
         assert_eq!(on_disk_iters(&dir, "rew"), vec![1, 2]);
-        second.tick(3, sample()).unwrap();
+        second.tick(3..=3, sample()).unwrap();
         assert_eq!(on_disk_iters(&dir, "rew"), vec![2, 3]);
         drop(second);
         std::fs::remove_dir_all(&dir).ok();
@@ -862,10 +851,10 @@ mod tests {
         // Rounds of 4: 1–4 holds no multiple of 5, 5–8 and 9–12 each hold
         // one; each snapshot is filed under its round's last iteration.
         for first in [1, 5, 9] {
-            mgr.tick_round(first..=first + 3, sample()).unwrap();
+            mgr.tick(first..=first + 3, sample()).unwrap();
         }
         assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12]);
-        mgr.tick_round(13..=14, sample()).unwrap();
+        mgr.tick(13..=14, sample()).unwrap();
         assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12]);
         drop(mgr); // Flushes the pending partial round.
         assert_eq!(on_disk_iters(&dir, "round"), vec![8, 12, 14]);
@@ -876,9 +865,9 @@ mod tests {
     fn the_crash_hook_fires_after_the_round_holding_its_iteration() {
         let mut opts = CheckpointOptions::new(std::env::temp_dir());
         opts.crash_after = Some((6, CrashKind::Panic));
-        opts.maybe_crash_round(1..=4);
-        opts.maybe_crash_round(7..=8);
-        assert!(std::panic::catch_unwind(|| opts.maybe_crash_round(5..=8)).is_err());
+        opts.maybe_crash(1..=4);
+        opts.maybe_crash(7..=8);
+        assert!(std::panic::catch_unwind(|| opts.maybe_crash(5..=8)).is_err());
     }
 
     #[test]
