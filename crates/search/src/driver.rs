@@ -52,7 +52,8 @@ pub enum Objective {
 /// Search configuration (the paper's "configuration file", §3).
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Total optimization rounds `N` (paper: 200).
+    /// Total iterations `N`, one candidate each, at any number of
+    /// candidates per round (paper: 200).
     pub iterations: usize,
     /// Metric to optimize.
     pub objective: Objective,
