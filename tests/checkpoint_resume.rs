@@ -179,56 +179,68 @@ fn crash_and_resume(
     .unwrap()
 }
 
-/// The tentpole acceptance test: ≥3 interrupt points, at 1 and 4 kernel
-/// threads, one and four candidates per round, each resumed run
-/// bit-identical to the uninterrupted one.
-#[test]
-fn resume_is_bit_identical_at_every_interrupt_point() {
+/// Checks, for `per_round` candidates per round, that a search crashed at
+/// any of three interrupt points, at 1 and 4 kernel threads, resumes to a
+/// result bit-identical to the uninterrupted one.
+fn assert_resume_bit_identical(per_round: usize) {
     let session = smoke_session(7);
     let mode = session.eval_mode(AccuracyMode::Surrogate).unwrap();
     let cfg = search_cfg(&session, 24);
 
-    for per_round in [1usize, 4] {
-        let reference = run_search_checkpointed(
-            &session.mini_graph,
-            &session.paper_graph,
-            &session.weights,
-            &mode,
-            &cfg,
-            per_round,
-            None,
-        )
-        .unwrap();
-        assert_eq!(reference.trace.len(), 24);
-        // Guard against a vacuous scenario: the replayed iterations must
-        // exercise the elite-sampling path, which only happens once some
-        // candidate met the accuracy target. (An earlier version of this
-        // test used a configuration where nothing was ever accepted — it
-        // passed even with elite arena-id restoration broken.)
-        assert!(reference.speedup > 1.0, "scenario found nothing: useless");
-        let first_hit = reference
-            .trace
-            .iter()
-            .find(|r| r.met_target)
-            .map(|r| r.iter)
-            .expect("no candidate met the target");
-        assert!(
-            first_hit <= 12,
-            "first accepted candidate at iter {first_hit}; interrupts must land after it"
-        );
+    let reference = run_search_checkpointed(
+        &session.mini_graph,
+        &session.paper_graph,
+        &session.weights,
+        &mode,
+        &cfg,
+        per_round,
+        None,
+    )
+    .unwrap();
+    assert_eq!(reference.trace.len(), 24);
+    // Guard against a vacuous scenario: the replayed iterations must
+    // exercise the elite-sampling path, which only happens once some
+    // candidate met the accuracy target. (An earlier version of this
+    // test used a configuration where nothing was ever accepted — it
+    // passed even with elite arena-id restoration broken.)
+    assert!(reference.speedup > 1.0, "scenario found nothing: useless");
+    let first_hit = reference
+        .trace
+        .iter()
+        .find(|r| r.met_target)
+        .map(|r| r.iter)
+        .expect("no candidate met the target");
+    assert!(
+        first_hit <= 12,
+        "first accepted candidate at iter {first_hit}; interrupts must land after it"
+    );
 
-        for threads in [1usize, 4] {
-            for interrupt in [3usize, 12, 20] {
-                let what = format!("per_round={per_round} threads={threads} interrupt={interrupt}");
-                let dir = scratch_dir(&format!("k{per_round}-t{threads}-i{interrupt}"));
-                let resumed = engine::with_thread_limit(threads, || {
-                    crash_and_resume(&session, &mode, &cfg, per_round, dir.clone(), interrupt)
-                });
-                assert_same_result(&reference, &resumed, &what);
-                std::fs::remove_dir_all(&dir).ok();
-            }
+    for threads in [1usize, 4] {
+        for interrupt in [3usize, 12, 20] {
+            let what = format!("per_round={per_round} threads={threads} interrupt={interrupt}");
+            let dir = scratch_dir(&format!("k{per_round}-t{threads}-i{interrupt}"));
+            let resumed = engine::with_thread_limit(threads, || {
+                crash_and_resume(&session, &mode, &cfg, per_round, dir.clone(), interrupt)
+            });
+            assert_same_result(&reference, &resumed, &what);
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
+}
+
+/// The tentpole acceptance test: ≥3 interrupt points, at 1 and 4 kernel
+/// threads, one candidate per round, each resumed run bit-identical to
+/// the uninterrupted one.
+#[test]
+fn resume_is_bit_identical_at_every_interrupt_point() {
+    assert_resume_bit_identical(1);
+}
+
+/// The same contract with four candidates evaluated per round; a crash
+/// lands after the round holding the interrupt iteration.
+#[test]
+fn batched_resume_is_bit_identical() {
+    assert_resume_bit_identical(4);
 }
 
 /// Satellite: a fine-tune resumed from a checkpoint (model weights +
