@@ -67,7 +67,8 @@ proptest! {
     }
 
     /// The structural signature is sound: equal signatures mean equal
-    /// latency estimates and capacity vectors.
+    /// latency estimates and capacity vectors. Digests, which the search
+    /// keys on, are equal exactly when the signatures are.
     #[test]
     fn signature_soundness(seed_a in 0u64..200, seed_b in 0u64..200) {
         let g = b3_graph();
@@ -77,6 +78,7 @@ proptest! {
         let mut rb = Rng::new(seed_b);
         let (ga, _) = mutation::mutation_pass(&g, &[pairs[ra.below(pairs.len())]]).unwrap();
         let (gb, _) = mutation::mutation_pass(&g, &[pairs[rb.below(pairs.len())]]).unwrap();
+        prop_assert_eq!(ga.digest() == gb.digest(), ga.signature() == gb.signature());
         if ga.signature() == gb.signature() {
             prop_assert_eq!(ga.flops().unwrap(), gb.flops().unwrap());
             prop_assert_eq!(
