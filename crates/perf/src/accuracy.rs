@@ -384,13 +384,24 @@ impl Default for SurrogateParams {
 }
 
 /// Deterministic per-candidate hash used to seed initialization noise.
+///
+/// Streams the signature into the hasher and ends it with `0xFF`, exactly
+/// as hashing the signature `String` would, so seeds never change.
 fn graph_noise_seed(graph: &AbsGraph, salt: u64) -> u64 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    graph.signature().hash(&mut h);
-    salt.hash(&mut h);
-    h.finish()
+    struct Sink(DefaultHasher);
+    impl std::fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Sink(DefaultHasher::new());
+    graph.write_signature(&mut h).expect("hashing cannot fail");
+    h.0.write_u8(0xFF);
+    salt.hash(&mut h.0);
+    h.0.finish()
 }
 
 /// Counts re-scale nodes joining shapes that share no dimension.
@@ -831,5 +842,23 @@ mod tests {
         };
         // All dims differ: counts as dissimilar.
         assert!(matches!(spec, BlockSpec::Rescale { .. }));
+    }
+
+    #[test]
+    fn streamed_noise_seed_equals_hashing_the_signature_string() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let tasks = [TaskSpec::classification("a", 2), TaskSpec::classification("b", 3)];
+        let specs: Vec<_> = tasks
+            .iter()
+            .map(|t| vgg(VggDepth::Vgg11, VisionScale::mini(), t).unwrap())
+            .collect();
+        let g = parse_specs(&specs).unwrap();
+        for salt in [0, 7, u64::MAX] {
+            let mut h = DefaultHasher::new();
+            g.signature().hash(&mut h);
+            salt.hash(&mut h);
+            assert_eq!(graph_noise_seed(&g, salt), h.finish(), "salt {salt}");
+        }
     }
 }

@@ -36,7 +36,8 @@ impl FilterVerdict {
 /// it is more aggressive than any recorded failure.
 ///
 /// The filter also holds the supervisor's **quarantine list**: graph
-/// signatures (plus their capacity vectors) of candidates whose evaluation
+/// signature digests ([`gmorph_graph::AbsGraph::digest`], plus capacity
+/// vectors) of candidates whose evaluation
 /// failed past the retry budget. Unlike accuracy failures — which only
 /// apply when the user opts into rule filtering — quarantine checks are
 /// always consulted by the search driver, because re-evaluating a graph
@@ -44,7 +45,7 @@ impl FilterVerdict {
 #[derive(Debug, Clone, Default)]
 pub struct CapacityRuleFilter {
     failures: Vec<CapacityVector>,
-    quarantined: Vec<(String, CapacityVector)>,
+    quarantined: Vec<(u128, CapacityVector)>,
 }
 
 impl CapacityRuleFilter {
@@ -80,7 +81,7 @@ impl CapacityRuleFilter {
     /// entries, preserving order (resume must replay bit-exactly).
     pub fn from_parts(
         failures: Vec<CapacityVector>,
-        quarantined: Vec<(String, CapacityVector)>,
+        quarantined: Vec<(u128, CapacityVector)>,
     ) -> Self {
         CapacityRuleFilter {
             failures,
@@ -89,30 +90,31 @@ impl CapacityRuleFilter {
     }
 
     /// Quarantine entries in insertion order (checkpointed search state).
-    pub fn quarantined(&self) -> &[(String, CapacityVector)] {
+    pub fn quarantined(&self) -> &[(u128, CapacityVector)] {
         &self.quarantined
     }
 
-    /// Adds a repeat offender to the quarantine list. Idempotent per
-    /// signature so retried checkpoint replays cannot double-record.
-    pub fn record_quarantine(&mut self, signature: String, cv: CapacityVector) {
-        if self.quarantined.iter().any(|(s, _)| *s == signature) {
+    /// Adds a repeat offender to the quarantine list, keyed by its
+    /// signature digest. Idempotent per digest so retried checkpoint
+    /// replays cannot double-record.
+    pub fn record_quarantine(&mut self, digest: u128, cv: CapacityVector) {
+        if self.quarantined.iter().any(|(d, _)| *d == digest) {
             return;
         }
-        self.quarantined.push((signature, cv));
+        self.quarantined.push((digest, cv));
     }
 
-    /// Quarantine check: `Some(Quarantined)` when `signature` is itself
+    /// Quarantine check: `Some(Quarantined)` when `digest` is itself
     /// quarantined, or when `cv` matches / is more aggressive than a
     /// quarantined candidate's capacity (the same §5.1 dominance rule,
     /// applied to evaluation failures instead of accuracy failures).
     pub fn quarantine_verdict(
         &self,
-        signature: &str,
+        digest: u128,
         cv: &CapacityVector,
     ) -> Option<FilterVerdict> {
-        let hit = self.quarantined.iter().any(|(s, q)| {
-            s == signature || cv == q || cv.more_aggressive_than(q)
+        let hit = self.quarantined.iter().any(|(d, q)| {
+            *d == digest || cv == q || cv.more_aggressive_than(q)
         });
         hit.then_some(FilterVerdict::Quarantined)
     }
@@ -306,26 +308,26 @@ mod tests {
     #[test]
     fn quarantine_matches_signature_and_capacity() {
         let mut f = CapacityRuleFilter::new();
-        assert_eq!(f.quarantine_verdict("g1", &cv(10, vec![10], vec![10], 0)), None);
-        f.record_quarantine("g1".into(), cv(100, vec![60, 70], vec![40, 50], 20));
-        // Same signature, regardless of capacity.
+        assert_eq!(f.quarantine_verdict(1, &cv(10, vec![10], vec![10], 0)), None);
+        f.record_quarantine(1, cv(100, vec![60, 70], vec![40, 50], 20));
+        // Same digest, regardless of capacity.
         assert_eq!(
-            f.quarantine_verdict("g1", &cv(999, vec![900], vec![900], 0)),
+            f.quarantine_verdict(1, &cv(999, vec![900], vec![900], 0)),
             Some(FilterVerdict::Quarantined)
         );
-        // Different signature, identical capacity.
+        // Different digest, identical capacity.
         assert_eq!(
-            f.quarantine_verdict("g2", &cv(100, vec![60, 70], vec![40, 50], 20)),
+            f.quarantine_verdict(2, &cv(100, vec![60, 70], vec![40, 50], 20)),
             Some(FilterVerdict::Quarantined)
         );
-        // Different signature, more aggressive sharing.
+        // Different digest, more aggressive sharing.
         assert_eq!(
-            f.quarantine_verdict("g3", &cv(80, vec![50, 60], vec![20, 30], 30)),
+            f.quarantine_verdict(3, &cv(80, vec![50, 60], vec![20, 30], 30)),
             Some(FilterVerdict::Quarantined)
         );
         // Less aggressive: passes.
         assert_eq!(
-            f.quarantine_verdict("g4", &cv(120, vec![70, 80], vec![60, 70], 10)),
+            f.quarantine_verdict(4, &cv(120, vec![70, 80], vec![60, 70], 10)),
             None
         );
         // Quarantine never leaks into the accuracy-failure rule.
@@ -335,15 +337,15 @@ mod tests {
     #[test]
     fn quarantine_is_idempotent_and_checkpointable() {
         let mut f = CapacityRuleFilter::new();
-        f.record_quarantine("g1".into(), cv(10, vec![10], vec![10], 0));
-        f.record_quarantine("g1".into(), cv(10, vec![10], vec![10], 0));
+        f.record_quarantine(1, cv(10, vec![10], vec![10], 0));
+        f.record_quarantine(1, cv(10, vec![10], vec![10], 0));
         assert_eq!(f.quarantined().len(), 1);
         let restored = CapacityRuleFilter::from_parts(
             f.failures().to_vec(),
             f.quarantined().to_vec(),
         );
         assert_eq!(
-            restored.quarantine_verdict("g1", &cv(10, vec![10], vec![10], 0)),
+            restored.quarantine_verdict(1, &cv(10, vec![10], vec![10], 0)),
             Some(FilterVerdict::Quarantined)
         );
     }

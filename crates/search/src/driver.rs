@@ -38,6 +38,7 @@ use gmorph_tensor::checkpoint::Envelope;
 use gmorph_tensor::engine;
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, TensorError};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The metric the search minimizes (the paper's config item (1)).
@@ -326,6 +327,7 @@ pub fn run_search_checkpointed(
             drop: 0.0,
             scores: mode.teacher_scores().to_vec(),
         },
+        best_record: OnceLock::new(),
         evaluated: 0,
         rule_filtered: 0,
         early_terminated: 0,
@@ -511,7 +513,12 @@ struct State {
     rule_filter: CapacityRuleFilter,
     clock: VirtualClock,
     trace: Vec<TraceRecord>,
+    /// Assigned only through [`State::set_best`], which drops the cached
+    /// record along with the model it encodes.
     best: BestModel,
+    /// The checkpoint's `best` section, filled by the first snapshot
+    /// after the best model changed (see `checkpoint::best_section`).
+    best_record: OnceLock<Vec<u8>>,
     evaluated: usize,
     rule_filtered: usize,
     early_terminated: usize,
@@ -547,7 +554,8 @@ enum Screened {
 struct Candidate {
     mini: AbsGraph,
     paper: AbsGraph,
-    signature: String,
+    /// Signature digest: the dedup and quarantine key.
+    digest: u128,
     capacity: CapacityVector,
     latency_ms: f64,
     objective: f64,
@@ -575,7 +583,7 @@ impl State {
         self.rule_filter =
             CapacityRuleFilter::from_parts(snap.state.failures, snap.state.quarantined);
         self.clock.restore_seconds(snap.state.clock_seconds);
-        self.best = snap.best;
+        self.set_best(snap.best);
         self.evaluated = snap.evaluated_count;
         self.rule_filtered = snap.rule_filtered;
         self.early_terminated = snap.early_terminated;
@@ -583,6 +591,12 @@ impl State {
         self.failed = snap.failed;
         self.quarantined = snap.quarantined_count;
         self.trace = snap.trace;
+    }
+
+    /// Replaces the best model and drops its cached checkpoint record.
+    fn set_best(&mut self, best: BestModel) {
+        self.best = best;
+        self.best_record = OnceLock::new();
     }
 
     /// Encodes the state by reference as the snapshot resuming at
@@ -598,10 +612,11 @@ impl State {
                 wall_offset,
                 failures: self.rule_filter.failures(),
                 quarantined: self.rule_filter.quarantined(),
-                evaluated: self.history.evaluated_signatures(),
+                evaluated: self.history.evaluated_digests(),
                 elites: self.history.elites(),
             },
             best: &self.best,
+            best_record: Some(&self.best_record),
             evaluated_count: self.evaluated,
             rule_filtered: self.rule_filtered,
             early_terminated: self.early_terminated,
@@ -671,8 +686,8 @@ impl State {
         // Deduplicate by structural signature *before* any evaluation
         // work: a previously seen candidate skips even the latency
         // estimate, not just the fine-tuning.
-        let signature = cand_mini.signature();
-        if self.history.seen(&signature) {
+        let digest = cand_mini.digest();
+        if self.history.seen(digest) {
             slot.screened = Screened::Skipped {
                 status: CandidateStatus::Duplicate,
                 reason: "duplicate",
@@ -680,7 +695,7 @@ impl State {
             };
             return Ok(slot);
         }
-        self.history.record_evaluated(signature.clone());
+        self.history.record_evaluated(digest);
 
         let latency_ms = estimate_latency_ms(&cand_paper, Backend::Eager)?;
         let objective = match cfg.objective {
@@ -693,7 +708,7 @@ impl State {
         // dominance rule applies: an equal or more aggressive merge of a
         // quarantined capacity is skipped too.
         let capacity = CapacityVector::of(&cand_mini)?;
-        let skip = match self.rule_filter.quarantine_verdict(&signature, &capacity) {
+        let skip = match self.rule_filter.quarantine_verdict(digest, &capacity) {
             Some(verdict) => Some((CandidateStatus::Quarantined, verdict)),
             // Rule-based filtering (§5.1) before any fine-tuning.
             None if cfg.rule_filter => self
@@ -711,7 +726,7 @@ impl State {
             None => Screened::Survivor(Box::new(Candidate {
                 mini: cand_mini,
                 paper: cand_paper,
-                signature,
+                digest,
                 capacity,
                 latency_ms,
                 objective,
@@ -810,11 +825,11 @@ impl State {
                     iter = iter,
                     kind = report.kind.as_str(),
                     attempts = report.attempts,
-                    signature = cand.signature.as_str(),
+                    digest = format!("{:032x}", cand.digest).as_str(),
                     error = report.message.as_str()
                 );
                 self.rule_filter
-                    .record_quarantine(cand.signature, cand.capacity);
+                    .record_quarantine(cand.digest, cand.capacity);
                 return Ok(Step {
                     status: CandidateStatus::Failed,
                     reason: report.kind.as_str(),
@@ -861,14 +876,14 @@ impl State {
             Objective::Flops => self.best.paper.flops()? as f64,
         };
         let reason = if cand.objective < best_objective {
-            self.best = BestModel {
+            self.set_best(BestModel {
                 mini: cand.mini.clone(),
                 paper: cand.paper.clone(),
                 weights: evaluation.weights.clone(),
                 latency_ms: cand.latency_ms,
                 drop: result.final_drop,
                 scores: result.final_scores.clone(),
-            };
+            });
             gmorph_telemetry::counter!("search.best_improved");
             "accepted_best"
         } else {

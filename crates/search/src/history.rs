@@ -69,9 +69,12 @@ impl Elite {
 }
 
 /// Evaluated-candidate and elite bookkeeping.
+///
+/// Evaluated candidates are remembered by their 128-bit signature digest
+/// ([`AbsGraph::digest`]), not by the signature text.
 #[derive(Debug, Clone)]
 pub struct History {
-    evaluated: HashSet<String>,
+    evaluated: HashSet<u128>,
     elites: Vec<Elite>,
     max_elites: usize,
 }
@@ -101,15 +104,16 @@ impl History {
         &self.elites
     }
 
-    /// Records a candidate signature; returns false when it was already
-    /// evaluated (the caller should skip it).
-    pub fn record_evaluated(&mut self, signature: String) -> bool {
-        self.evaluated.insert(signature)
+    /// Records a candidate's signature digest; returns false when it was
+    /// already evaluated (the caller should skip it).
+    pub fn record_evaluated(&mut self, digest: u128) -> bool {
+        self.evaluated.insert(digest)
     }
 
-    /// True when the signature was evaluated before.
-    pub fn seen(&self, signature: &str) -> bool {
-        self.evaluated.contains(signature)
+    /// True when a candidate with this signature digest was evaluated
+    /// before.
+    pub fn seen(&self, digest: u128) -> bool {
+        self.evaluated.contains(&digest)
     }
 
     /// Number of distinct candidates evaluated.
@@ -117,14 +121,14 @@ impl History {
         self.evaluated.len()
     }
 
-    /// Evaluated signatures in sorted order.
+    /// Evaluated signature digests in sorted order.
     ///
     /// The dedup set is order-free (membership only), so sorting gives a
     /// canonical serialization for checkpoints.
-    pub fn evaluated_signatures(&self) -> Vec<&str> {
-        let mut sigs: Vec<&str> = self.evaluated.iter().map(String::as_str).collect();
-        sigs.sort_unstable();
-        sigs
+    pub fn evaluated_digests(&self) -> Vec<u128> {
+        let mut digests: Vec<u128> = self.evaluated.iter().copied().collect();
+        digests.sort_unstable();
+        digests
     }
 
     /// Reconstructs a history from checkpointed parts.
@@ -132,7 +136,7 @@ impl History {
     /// `elites` must be in their original insertion order: the sampling
     /// policy indexes into the elite list with the run's RNG, so order is
     /// part of the deterministic-replay state.
-    pub fn from_parts(evaluated: Vec<String>, elites: Vec<Elite>, max_elites: usize) -> History {
+    pub fn from_parts(evaluated: Vec<u128>, elites: Vec<Elite>, max_elites: usize) -> History {
         History {
             evaluated: evaluated.into_iter().collect(),
             elites,
@@ -177,10 +181,10 @@ mod tests {
     #[test]
     fn dedup_by_signature() {
         let mut h = History::new(4);
-        assert!(h.record_evaluated("a".to_string()));
-        assert!(!h.record_evaluated("a".to_string()));
-        assert!(h.seen("a"));
-        assert!(!h.seen("b"));
+        assert!(h.record_evaluated(0xA));
+        assert!(!h.record_evaluated(0xA));
+        assert!(h.seen(0xA));
+        assert!(!h.seen(0xB));
         assert_eq!(h.evaluated_count(), 1);
     }
 

@@ -163,6 +163,11 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a little-endian u128.
+    pub fn put_u128(&mut self, v: u128) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends an f32 bit-exactly (NaN payloads included).
     pub fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
@@ -237,6 +242,26 @@ impl<'a> ByteReader<'a> {
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Reads a little-endian u128.
+    pub fn get_u128(&mut self) -> Result<u128> {
+        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    }
+
+    /// Reads a u64 element count and rejects it unless that many elements
+    /// of `elem_bytes` bytes each fit in the bytes left, so a hostile
+    /// count fails before the caller allocates for it.
+    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize> {
+        let n = self.get_u64()?;
+        let fits = self.remaining() / elem_bytes.max(1);
+        if n > fits as u64 {
+            return Err(corrupt(format!(
+                "count {n} of {elem_bytes}-byte elements exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
     }
 
     /// Reads a u64 and narrows it to usize, rejecting implausible sizes.
@@ -726,6 +751,7 @@ mod tests {
         w.put_f64(-0.0);
         w.put_str("héllo");
         w.put_bytes(&[9, 9, 9]);
+        w.put_u128(u128::MAX / 3);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -735,6 +761,7 @@ mod tests {
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_bytes().unwrap(), vec![9, 9, 9]);
+        assert_eq!(r.get_u128().unwrap(), u128::MAX / 3);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -742,6 +769,22 @@ mod tests {
     fn reader_rejects_overruns() {
         let mut r = ByteReader::new(&[1, 2]);
         assert!(is_corruption(&r.get_u32().unwrap_err()));
+    }
+
+    #[test]
+    fn a_count_must_fit_in_the_bytes_left() {
+        let mut w = ByteWriter::new();
+        w.put_u64(2);
+        w.put_u128(1);
+        w.put_u128(2);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).get_count(16).unwrap(), 2);
+        // One byte short of the second element.
+        let err = ByteReader::new(&bytes[..bytes.len() - 1]).get_count(16).unwrap_err();
+        assert!(is_corruption(&err), "{err}");
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::MAX);
+        assert!(ByteReader::new(&w.into_bytes()).get_count(16).is_err());
     }
 
     #[test]
