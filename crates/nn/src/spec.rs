@@ -140,7 +140,7 @@ impl BlockSpec {
                 stride,
                 ..
             } => {
-                if in_shape.len() != 3 || in_shape[0] != *c_in {
+                if in_shape.len() != 3 || in_shape[0] != *c_in || *stride == 0 {
                     return Err(bad(format!("{self:?} on {in_shape:?}")));
                 }
                 Ok(vec![
@@ -150,7 +150,7 @@ impl BlockSpec {
                 ])
             }
             BlockSpec::Residual { c_in, c_out, stride } => {
-                if in_shape.len() != 3 || in_shape[0] != *c_in {
+                if in_shape.len() != 3 || in_shape[0] != *c_in || *stride == 0 {
                     return Err(bad(format!("{self:?} on {in_shape:?}")));
                 }
                 Ok(vec![
@@ -160,7 +160,7 @@ impl BlockSpec {
                 ])
             }
             BlockSpec::MaxPool { k } => {
-                if in_shape.len() != 3 || in_shape[1] < *k || in_shape[2] < *k {
+                if in_shape.len() != 3 || *k == 0 || in_shape[1] < *k || in_shape[2] < *k {
                     return Err(bad(format!("pool {k} on {in_shape:?}")));
                 }
                 Ok(vec![in_shape[0], in_shape[1] / k, in_shape[2] / k])
@@ -177,7 +177,7 @@ impl BlockSpec {
                 patch,
                 d,
             } => {
-                if in_shape != [*channels, *img, *img] {
+                if in_shape != [*channels, *img, *img] || *patch == 0 {
                     return Err(bad(format!("{self:?} on {in_shape:?}")));
                 }
                 Ok(vec![(img / patch) * (img / patch), *d])
@@ -527,6 +527,34 @@ mod tests {
         assert!(s.out_shape(&[8, 8]).is_err());
         let t = BlockSpec::Transformer { d: 8, heads: 2 };
         assert!(t.out_shape(&[4, 9]).is_err());
+    }
+
+    #[test]
+    fn out_shape_rejects_zero_strides_and_windows() {
+        // Specs decoded from a corrupt file must fail, not divide by zero.
+        for s in [
+            BlockSpec::ConvBnRelu {
+                c_in: 3,
+                c_out: 8,
+                kernel: 3,
+                stride: 0,
+            },
+            BlockSpec::Residual {
+                c_in: 3,
+                c_out: 8,
+                stride: 0,
+            },
+            BlockSpec::MaxPool { k: 0 },
+        ] {
+            assert!(s.out_shape(&[3, 8, 8]).is_err(), "{s:?}");
+        }
+        let p = BlockSpec::PatchEmbed {
+            channels: 3,
+            img: 8,
+            patch: 0,
+            d: 8,
+        };
+        assert!(p.out_shape(&[3, 8, 8]).is_err());
     }
 
     #[test]

@@ -73,8 +73,16 @@ pub fn read_tensor(r: &mut impl Read) -> Result<Tensor> {
         .filter(|&bound| bound <= 1 << 28)
         .ok_or_else(|| TensorError::Io(format!("implausible tensor dims {dims:?}")))?;
     let numel: usize = dims.iter().product();
-    let mut bytes = vec![0u8; numel * 4];
-    r.read_exact(&mut bytes).map_err(io_err)?;
+    // Grow the buffer with the bytes that actually arrive: a corrupt dim
+    // in a short stream must not allocate up to the bound first.
+    let mut bytes = Vec::new();
+    r.by_ref().take(numel as u64 * 4).read_to_end(&mut bytes).map_err(io_err)?;
+    if bytes.len() != numel * 4 {
+        return Err(TensorError::Io(format!(
+            "tensor of {numel} elements truncated to {} bytes",
+            bytes.len()
+        )));
+    }
     let data = bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -109,7 +117,7 @@ pub fn read_state_dict(r: &mut impl Read) -> Result<Vec<(String, Tensor)>> {
     if count > 1 << 20 {
         return Err(TensorError::Io(format!("implausible entry count {count}")));
     }
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let name_len = read_u32(r)? as usize;
         if name_len > 4096 {

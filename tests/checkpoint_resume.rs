@@ -243,6 +243,99 @@ fn batched_resume_is_bit_identical() {
     assert_resume_bit_identical(4);
 }
 
+/// A snapshot written before search schema v3 resumes under this build
+/// to the uninterrupted result. The fixture is the newest file of CI's
+/// resume-smoke run (`gmorph optimize --bench B1 --iterations 24 --mode
+/// surrogate --seed 7 --checkpoint-every 1`, aborted after iteration 12)
+/// as written by a schema-v2 build.
+#[test]
+fn a_schema_v2_snapshot_resumes_bit_identically() {
+    use gmorph::search::checkpoint::{
+        config_fingerprint, load_latest_search, SearchSnapshot, SEARCH_KIND,
+    };
+    use gmorph::tensor::checkpoint::load;
+
+    // The CLI's session: standard data, default teachers (trained afresh
+    // into a private cache, as on a clean CI runner).
+    let cache = scratch_dir("v2-teachers");
+    std::env::set_var("GMORPH_CACHE_DIR", &cache);
+    let bench = build_benchmark(BenchId::B1, &DataProfile::standard(), 7).unwrap();
+    let session = Session::prepare(
+        bench,
+        &SessionConfig {
+            seed: 7,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    std::env::remove_var("GMORPH_CACHE_DIR");
+    std::fs::remove_dir_all(&cache).ok();
+    let mut cfg = OptimizationConfig {
+        iterations: 24,
+        seed: 7,
+        mode: AccuracyMode::Surrogate,
+        ..Default::default()
+    };
+    let reference = session.optimize(&cfg).unwrap();
+
+    let dir = scratch_dir("v2-fixture");
+    let file = dir.join("search-000012.gmck");
+    std::fs::copy(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/search-v2/search-000012.gmck"),
+        &file,
+    )
+    .unwrap();
+    assert_eq!(load(&file, SEARCH_KIND).unwrap().schema, 2);
+    // Not a fresh start in disguise: the fixture is what the run resumes.
+    let mut search_cfg = cfg.to_search_config();
+    search_cfg.virtual_throughput = session.virtual_throughput;
+    let fingerprint = config_fingerprint(&search_cfg, &session.mini_graph, &session.paper_graph);
+    let mut from_v2 = load_latest_search(&dir, fingerprint)
+        .unwrap()
+        .expect("the fixture matches this run's fingerprint");
+    assert_eq!(from_v2.state.next_iter, 13);
+
+    // Decoding the v2 file yields the state this build snapshots at the
+    // same iteration, digests of the signature text included: both encode
+    // to the same v3 bytes once the wall clock is set aside.
+    let own = scratch_dir("v2-own");
+    let mut opts = CheckpointOptions::new(own.clone());
+    opts.every = 1;
+    opts.keep = 24;
+    run_search_checkpointed(
+        &session.mini_graph,
+        &session.paper_graph,
+        &session.weights,
+        &session.eval_mode(AccuracyMode::Surrogate).unwrap(),
+        &search_cfg,
+        1,
+        Some(&opts),
+    )
+    .unwrap();
+    let mut from_v3 =
+        SearchSnapshot::decode(&load(&own.join("search-000012.gmck"), SEARCH_KIND).unwrap())
+            .unwrap();
+    std::fs::remove_dir_all(&own).ok();
+    for snap in [&mut from_v2, &mut from_v3] {
+        snap.state.wall_offset = 0.0;
+        for t in &mut snap.trace {
+            t.wall_seconds = 0.0;
+        }
+    }
+    assert!(
+        from_v2.encode().unwrap() == from_v3.encode().unwrap(),
+        "the decoded v2 snapshot differs from this build's own"
+    );
+
+    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.checkpoint_every = 1;
+    cfg.resume = true;
+    let resumed = session.optimize(&cfg).unwrap();
+    assert_same_result(&reference, &resumed, "schema-v2 fixture");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Satellite: a fine-tune resumed from a checkpoint (model weights +
 /// optimizer moments + RNG) reproduces the uninterrupted loss/score
 /// trajectory exactly.

@@ -2,10 +2,12 @@
 //!
 //! The search driver encodes its live state by reference each iteration
 //! and copies every elite's record from a cache filled the first time
-//! that elite was checkpointed. A snapshot decoded from disk holds elites
-//! with no cached record, so re-encoding it is the canonical encoding
-//! from scratch. Every file a checkpointed search writes must equal that
-//! re-encoding byte for byte, and hold the elites its trace implies.
+//! that elite was checkpointed, and the best model's section from a
+//! cache filled the first time after the best changed. A snapshot
+//! decoded from disk carries no cache, so re-encoding it is the
+//! canonical encoding from scratch. Every file a checkpointed search
+//! writes must equal that re-encoding byte for byte, and hold the elites
+//! and the best model its trace implies.
 
 use gmorph::models::train::TrainConfig;
 use gmorph::prelude::*;
@@ -45,8 +47,10 @@ fn elites_implied_by(trace: &[TraceRecord], max_elites: usize) -> Vec<(u64, u32)
         .collect()
 }
 
-#[test]
-fn every_written_snapshot_equals_its_canonical_reencoding() {
+/// Runs a checkpointed 80-iteration B1 surrogate search that writes a
+/// snapshot every iteration and keeps them all; returns the result and
+/// the files, oldest first.
+fn checkpointed_search(tag: &str) -> (SearchResult, Vec<(usize, Vec<u8>)>) {
     let seed = 7;
     let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), seed).unwrap();
     let session = Session::prepare(
@@ -75,12 +79,12 @@ fn every_written_snapshot_equals_its_canonical_reencoding() {
     .to_search_config();
     cfg.virtual_throughput = session.virtual_throughput;
 
-    let dir = std::env::temp_dir().join(format!("gmorph-canonical-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("gmorph-canonical-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut opts = CheckpointOptions::new(dir.clone());
     opts.every = 1;
     opts.keep = iterations;
-    run_search_checkpointed(
+    let result = run_search_checkpointed(
         &session.mini_graph,
         &session.paper_graph,
         &session.weights,
@@ -91,17 +95,31 @@ fn every_written_snapshot_equals_its_canonical_reencoding() {
     )
     .unwrap();
 
-    let files = snapshot_files(&dir, SEARCH_KIND);
+    let mut files: Vec<(usize, Vec<u8>)> = snapshot_files(&dir, SEARCH_KIND)
+        .into_iter()
+        .map(|(iter, path)| (iter, std::fs::read(path).unwrap()))
+        .collect();
+    files.sort_by_key(|(iter, _)| *iter);
     assert_eq!(files.len(), iterations, "one file per iteration");
+    std::fs::remove_dir_all(&dir).ok();
+    (result, files)
+}
+
+fn decode(bytes: &[u8]) -> SearchSnapshot {
+    SearchSnapshot::decode(&Envelope::decode(bytes).unwrap()).unwrap()
+}
+
+#[test]
+fn every_written_snapshot_equals_its_canonical_reencoding() {
+    let (_, files) = checkpointed_search("elites");
     let max_elites = SimulatedAnnealing::new().max_elites;
     let mut most_elites = 0;
-    for (iter, path) in &files {
-        let bytes = std::fs::read(path).unwrap();
-        let snap = SearchSnapshot::decode(&Envelope::decode(&bytes).unwrap()).unwrap();
+    for (iter, bytes) in &files {
+        let snap = decode(bytes);
         most_elites = most_elites.max(snap.state.elites.len());
         let canonical = snap.encode().unwrap().encode();
         assert!(
-            canonical == bytes,
+            canonical == *bytes,
             "snapshot of iteration {iter} differs from its canonical re-encoding"
         );
         // A stale cached record would still decode; check each elite
@@ -119,5 +137,52 @@ fn every_written_snapshot_equals_its_canonical_reencoding() {
         );
     }
     assert_eq!(most_elites, max_elites, "the elite list never filled up");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// (latency, drop) bits of the best model after `trace`: the original
+/// (drop 0) until an iteration lowers the best latency, then the
+/// candidate of the last iteration that did.
+fn best_implied_by(trace: &[TraceRecord], original_latency_ms: f64) -> (u64, u32) {
+    let mut best = (original_latency_ms, 0.0f32);
+    for t in trace {
+        if t.best_latency_ms < best.0 {
+            best = (t.best_latency_ms, t.drop);
+        }
+    }
+    (best.0.to_bits(), best.1.to_bits())
+}
+
+/// The driver caches the encoded best model and must drop that cache
+/// whenever the best model changes. A stale record would still decode
+/// and re-encode to itself, so each file's best model is checked against
+/// the one its trace implies as well.
+#[test]
+fn the_cached_best_record_follows_every_new_best() {
+    let (result, files) = checkpointed_search("best");
+    let mut improvements_after_first_snapshot = 0;
+    let mut previous_best = None;
+    for (iter, bytes) in &files {
+        let snap = decode(bytes);
+        assert!(
+            snap.encode().unwrap().encode() == *bytes,
+            "snapshot of iteration {iter} differs from its canonical re-encoding"
+        );
+        let got = (snap.best.latency_ms.to_bits(), snap.best.drop.to_bits());
+        assert_eq!(
+            got,
+            best_implied_by(&snap.trace, result.original_latency_ms),
+            "best model of the snapshot of iteration {iter}"
+        );
+        if previous_best.is_some_and(|b| b != got) {
+            improvements_after_first_snapshot += 1;
+        }
+        previous_best = Some(got);
+    }
+    assert!(
+        improvements_after_first_snapshot >= 2,
+        "the best model changed {improvements_after_first_snapshot} times after \
+         the first snapshot: the scenario cannot catch a stale cache"
+    );
+    let last = decode(&files.last().unwrap().1);
+    assert_eq!(last.best.latency_ms.to_bits(), result.best.latency_ms.to_bits());
 }
