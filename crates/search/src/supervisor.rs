@@ -19,7 +19,7 @@
 //! - *permanent* failures (timeouts: properties of the graph, not of the
 //!   draw) skip retries entirely,
 //! - exhausted candidates come back as a [`FailureReport`] the driver
-//!   quarantines by graph signature.
+//!   quarantines by graph signature digest.
 //!
 //! # Determinism
 //!
