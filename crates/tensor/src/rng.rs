@@ -5,9 +5,63 @@
 //! seeded from the experiment configuration, so runs are exactly
 //! reproducible. The paper notes its search "introduces randomness" and
 //! recommends multiple runs; we make the randomness controllable instead.
+//!
+//! The generator is **bit-compatible** with `rand 0.8`'s `StdRng`
+//! (`rand_chacha 0.3`) for every draw this module makes:
+//!
+//! - ChaCha12 with a 64-bit block counter and a zero nonce, exactly as
+//!   `rand_chacha::ChaCha12Rng`;
+//! - [`Rng::new`] expands the seed with the same PCG32 output function as
+//!   `rand_core 0.6`'s `seed_from_u64`;
+//! - 32- and 64-bit outputs consume keystream words in the same order as
+//!   `rand_core`'s `BlockRng` (a `u64` is two words, low first);
+//! - `f32` draws use the 24-bit fraction of rand's `Standard`
+//!   distribution;
+//! - [`Rng::below`] and [`Rng::shuffle`] use the widening-multiply
+//!   rejection of `UniformInt::sample_single_inclusive`.
+//!
+//! Seeded streams therefore match what the real dependency would produce,
+//! which keeps seed-tuned thresholds elsewhere in the repo meaningful.
 
-use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng};
+/// One ChaCha block: 16 output words from 8 key words and a 64-bit
+/// counter, with `rounds` rounds and a zero nonce.
+fn chacha_block(key: &[u32; 8], counter: u64, rounds: usize, out: &mut [u32; 16]) {
+    const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+    let mut initial = [0u32; 16];
+    initial[..4].copy_from_slice(&CONSTANTS);
+    initial[4..12].copy_from_slice(key);
+    initial[12] = counter as u32;
+    initial[13] = (counter >> 32) as u32;
+
+    #[inline(always)]
+    fn quarter(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = x[a].wrapping_add(x[b]);
+        x[d] = (x[d] ^ x[a]).rotate_left(16);
+        x[c] = x[c].wrapping_add(x[d]);
+        x[b] = (x[b] ^ x[c]).rotate_left(12);
+        x[a] = x[a].wrapping_add(x[b]);
+        x[d] = (x[d] ^ x[a]).rotate_left(8);
+        x[c] = x[c].wrapping_add(x[d]);
+        x[b] = (x[b] ^ x[c]).rotate_left(7);
+    }
+
+    let mut x = initial;
+    for _ in 0..rounds / 2 {
+        // Column round.
+        quarter(&mut x, 0, 4, 8, 12);
+        quarter(&mut x, 1, 5, 9, 13);
+        quarter(&mut x, 2, 6, 10, 14);
+        quarter(&mut x, 3, 7, 11, 15);
+        // Diagonal round.
+        quarter(&mut x, 0, 5, 10, 15);
+        quarter(&mut x, 1, 6, 11, 12);
+        quarter(&mut x, 2, 7, 8, 13);
+        quarter(&mut x, 3, 4, 9, 14);
+    }
+    for (o, (w, i)) in out.iter_mut().zip(x.iter().zip(initial.iter())) {
+        *o = w.wrapping_add(*i);
+    }
+}
 
 /// A seeded random number generator with the distributions we need.
 ///
@@ -22,7 +76,11 @@ use rand::{Rng as _, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rng {
-    inner: StdRng,
+    key: [u32; 8],
+    counter: u64,
+    buf: [u32; 16],
+    /// Next unread index into `buf`; 16 means exhausted.
+    index: usize,
     /// Cached second output of the Box-Muller transform.
     spare_normal: Option<f32>,
 }
@@ -30,9 +88,8 @@ pub struct Rng {
 /// A complete, serializable snapshot of an [`Rng`]'s state.
 ///
 /// Restoring from a snapshot continues the random stream bit-exactly —
-/// including the Box-Muller spare normal, which lives outside the
-/// underlying ChaCha12 generator. This is what makes checkpoint/resume of
-/// the search deterministic.
+/// including the Box-Muller spare normal. This is what makes
+/// checkpoint/resume of the search deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RngState {
     /// ChaCha12 key words.
@@ -48,12 +105,48 @@ pub struct RngState {
 }
 
 impl Rng {
-    /// Creates a generator from a 64-bit seed.
-    pub fn new(seed: u64) -> Self {
+    /// Creates a generator from a 64-bit seed, expanding it into the
+    /// ChaCha12 key with the PCG32 output function.
+    pub fn new(mut seed: u64) -> Self {
+        const MUL: u64 = 6_364_136_223_846_793_005;
+        const INC: u64 = 11_634_580_027_462_260_723;
+        let mut key = [0u32; 8];
+        for k in &mut key {
+            seed = seed.wrapping_mul(MUL).wrapping_add(INC);
+            let xorshifted = (((seed >> 18) ^ seed) >> 27) as u32;
+            *k = xorshifted.rotate_right((seed >> 59) as u32);
+        }
         Rng {
-            inner: StdRng::seed_from_u64(seed),
+            key,
+            counter: 0,
+            buf: [0; 16],
+            index: 16,
             spare_normal: None,
         }
+    }
+
+    /// Next 32 keystream bits, generating a block when the buffer is spent.
+    fn next_u32(&mut self) -> u32 {
+        if self.index == 16 {
+            chacha_block(&self.key, self.counter, 12, &mut self.buf);
+            self.counter = self.counter.wrapping_add(1);
+            self.index = 0;
+        }
+        let w = self.buf[self.index];
+        self.index += 1;
+        w
+    }
+
+    /// Next 64 bits: two consecutive words, low first.
+    fn next_u64(&mut self) -> u64 {
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        (hi << 32) | lo
+    }
+
+    /// A 24-bit fraction in `[0, 1)`.
+    fn next_f32(&mut self) -> f32 {
+        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
     /// Derives an independent child generator.
@@ -61,23 +154,31 @@ impl Rng {
     /// Used to give each subsystem (data, init, search) its own stream so
     /// that adding draws in one place does not perturb the others.
     pub fn fork(&mut self, salt: u64) -> Rng {
-        let seed = self.inner.gen::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Rng::new(seed)
     }
 
     /// Uniform sample from `[lo, hi)`.
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.inner.gen::<f32>()
+        lo + (hi - lo) * self.next_f32()
     }
 
-    /// Uniform sample from `0..n`.
+    /// Uniform sample from `0..n`: the high word of a widening multiply,
+    /// rejecting draws whose low word falls in the biased zone.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is undefined");
-        self.inner.gen_range(0..n)
+        let range = n as u64;
+        let zone = (range << range.leading_zeros()).wrapping_sub(1);
+        loop {
+            let m = self.next_u64() as u128 * range as u128;
+            if m as u64 <= zone {
+                return (m >> 64) as usize;
+            }
+        }
     }
 
     /// Standard normal sample via the Box-Muller transform.
@@ -86,8 +187,8 @@ impl Rng {
             return z;
         }
         // Box-Muller: two uniforms -> two independent normals.
-        let u1: f32 = self.inner.gen::<f32>().max(1e-12);
-        let u2: f32 = self.inner.gen::<f32>();
+        let u1 = self.next_f32().max(1e-12);
+        let u2 = self.next_f32();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
         self.spare_normal = Some(r * theta.sin());
@@ -96,13 +197,13 @@ impl Rng {
 
     /// Bernoulli sample with probability `p` of `true`.
     pub fn coin(&mut self, p: f32) -> bool {
-        self.inner.gen::<f32>() < p
+        self.next_f32() < p
     }
 
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.below(i + 1);
             items.swap(i, j);
         }
     }
@@ -126,12 +227,11 @@ impl Rng {
 
     /// Captures the full generator state for checkpointing.
     pub fn state(&self) -> RngState {
-        let (key, counter, buf, index) = self.inner.state();
         RngState {
-            key,
-            counter,
-            buf,
-            index,
+            key: self.key,
+            counter: self.counter,
+            buf: self.buf,
+            index: self.index,
             spare_normal: self.spare_normal,
         }
     }
@@ -140,7 +240,10 @@ impl Rng {
     /// bit-exactly.
     pub fn restore(state: &RngState) -> Self {
         Rng {
-            inner: StdRng::from_state(state.key, state.counter, state.buf, state.index),
+            key: state.key,
+            counter: state.counter,
+            buf: state.buf,
+            index: state.index.min(16),
             spare_normal: state.spare_normal,
         }
     }
@@ -183,6 +286,9 @@ mod tests {
             let x = rng.uniform(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&x));
         }
+        let n = 40_000;
+        let mean = (0..n).map(|_| rng.uniform(0.0, 1.0) as f64).sum::<f64>() / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
     #[test]
@@ -311,5 +417,46 @@ mod tests {
         let heads = (0..10_000).filter(|_| rng.coin(0.3)).count();
         let p = heads as f32 / 10_000.0;
         assert!((p - 0.3).abs() < 0.03, "p {p}");
+    }
+
+    /// The zero-key, zero-nonce, counter-0 ChaCha20 keystream block from
+    /// the original ecrypt verification set. Validates the block function;
+    /// ChaCha12 differs only in round count.
+    #[test]
+    fn chacha20_reference_block() {
+        let mut out = [0u32; 16];
+        chacha_block(&[0; 8], 0, 20, &mut out);
+        let bytes: Vec<u8> = out.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let expect: [u8; 32] = [
+            0x76, 0xb8, 0xe0, 0xad, 0xa0, 0xf1, 0x3d, 0x90, 0x40, 0x5d, 0x6a, 0xe5, 0x53, 0x86,
+            0xbd, 0x28, 0xbd, 0xd2, 0x19, 0xb8, 0xa0, 0x8d, 0xed, 0x1a, 0xa8, 0x36, 0xef, 0xcc,
+            0x8b, 0x77, 0x0d, 0xc7,
+        ];
+        assert_eq!(&bytes[..32], &expect);
+    }
+
+    #[test]
+    fn below_respects_bounds_and_covers() {
+        let mut rng = Rng::new(3);
+        let mut seen = [false; 7];
+        for _ in 0..1000 {
+            let v = rng.below(7);
+            assert!(v < 7);
+            seen[v] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all values of 0..7 drawn");
+    }
+
+    #[test]
+    fn below_is_unbiased_enough() {
+        // The rejection zone must not visibly skew small ranges.
+        let mut rng = Rng::new(17);
+        let mut counts = [0usize; 3];
+        for _ in 0..30_000 {
+            counts[rng.below(3)] += 1;
+        }
+        for &c in &counts {
+            assert!((9_000..11_000).contains(&c), "counts {counts:?}");
+        }
     }
 }
