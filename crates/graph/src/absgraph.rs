@@ -173,11 +173,12 @@ impl AbsGraph {
     /// Rebuilds a graph from raw arena parts, preserving node ids, root
     /// and child ordering, and allocation counters exactly.
     ///
-    /// This is the restore half of the checkpoint codec: unlike
-    /// [`crate::persist::decode_graph`], which renumbers the arena, a
-    /// graph restored here continues to mutate identically to the one
-    /// that was saved. Node `capacity` is recomputed from the spec (as
-    /// [`AbsGraph::add_node`] does) and the result is validated.
+    /// This is the restore half of the graph codec
+    /// ([`crate::persist::decode_graph_exact`]): a graph restored here
+    /// continues to mutate identically to the one that was saved. Node
+    /// `capacity` is recomputed from the spec (as [`AbsGraph::add_node`]
+    /// does) once the spec accepts its input shape, and the result is
+    /// validated.
     pub fn from_arena(
         input_shape: Vec<usize>,
         tasks: Vec<TaskSpec>,
@@ -194,6 +195,7 @@ impl AbsGraph {
                     msg: format!("node id {id} not below next_id {next_id}"),
                 });
             }
+            node.spec.out_shape(&node.input_shape)?;
             node.capacity = node.spec.capacity();
             if g.nodes.insert(id, node).is_some() {
                 return Err(TensorError::InvalidArgument {

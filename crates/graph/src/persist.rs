@@ -7,20 +7,46 @@
 //! one file, and [`load_model`] restores both, ready for
 //! [`crate::generator::generate`].
 //!
-//! Format: the graph structure is encoded as a UTF-8 text header (one
-//! line per node, explicit spec grammar — no `Debug` parsing), stored as
-//! the first entry of a gmorph state dict whose remaining entries are the
-//! per-node weight tensors.
+//! One encoding serves model files and search snapshots, the *model
+//! record* ([`encode_model_bytes`]):
+//!
+//! ```text
+//! record := header_len(u32) header(utf8) state_dict(weight entries)
+//! ```
+//!
+//! The header is the graph's exact arena as text ([`encode_graph_exact`]:
+//! one line per node, explicit spec grammar, no `Debug` parsing). Node
+//! ids, child order and allocation counters survive the round trip, so a
+//! reloaded graph mutates exactly as the saved one would. A model file is
+//! a [`gmorph_tensor::checkpoint`] envelope of kind [`MODEL_KIND`] whose
+//! one section is the record, so it is checksummed, written atomically
+//! and classified by [`gmorph_tensor::checkpoint::is_corruption`] when
+//! damaged. Model files written before the envelope (a bare state dict
+//! with one `f32` per header byte) do not load.
 
 use crate::absgraph::{AbsGraph, AbsNode};
 use crate::parser::{op_type_of, WeightStore};
 use gmorph_data::{Metric, TaskSpec};
 use gmorph_nn::BlockSpec;
-use gmorph_tensor::serialize::{load_state_dict, save_state_dict};
+use gmorph_tensor::checkpoint::{load, save_atomic, Envelope};
+use gmorph_tensor::serialize::{read_state_dict, write_state_dict};
 use gmorph_tensor::{Result, Tensor, TensorError};
 use std::collections::HashMap;
+use std::path::Path;
 
 const FORMAT_VERSION: u32 = 1;
+
+/// Largest value a decoded dimension or spec field may hold. Every real
+/// block is far below it (BERT's 30,522-token vocabulary is the largest
+/// field), and a product of four such fields, a conv's weight count,
+/// still fits in `usize`.
+const MAX_FIELD: usize = (1 << 16) - 1;
+
+/// Payload kind of model files.
+pub const MODEL_KIND: &str = "model";
+/// Schema version of the model file payload: one `model` section holding
+/// a model record.
+pub const MODEL_SCHEMA: u32 = 1;
 
 fn bad(msg: String) -> TensorError {
     TensorError::Io(format!("persist: {msg}"))
@@ -38,7 +64,12 @@ fn decode_dims(s: &str) -> Result<Vec<usize>> {
         return Ok(Vec::new());
     }
     s.split('x')
-        .map(|p| p.parse::<usize>().map_err(|_| bad(format!("bad dims {s:?}"))))
+        .map(|p| {
+            p.parse::<usize>()
+                .ok()
+                .filter(|&d| d <= MAX_FIELD)
+                .ok_or_else(|| bad(format!("bad dims {s:?}")))
+        })
         .collect()
 }
 
@@ -80,6 +111,7 @@ pub fn decode_spec(s: &str) -> Result<BlockSpec> {
         parts
             .get(i)
             .and_then(|p| p.parse().ok())
+            .filter(|&v| v <= MAX_FIELD)
             .ok_or_else(|| bad(format!("bad spec field {i} in {s:?}")))
     };
     Ok(match parts[0] {
@@ -158,109 +190,6 @@ fn decode_loss(s: &str) -> Result<gmorph_data::LossKind> {
     })
 }
 
-/// Serializes the graph structure to the text header.
-pub fn encode_graph(graph: &AbsGraph) -> String {
-    let mut out = format!("gmorph-graph v{FORMAT_VERSION}\n");
-    out.push_str(&format!("input {}\n", encode_dims(&graph.input_shape)));
-    for t in &graph.tasks {
-        out.push_str(&format!(
-            "task {} {} {} {}\n",
-            t.name.replace(' ', "_"),
-            t.classes,
-            encode_metric(t.metric),
-            encode_loss(t.loss)
-        ));
-    }
-    for id in graph.topo_order() {
-        let n = graph.node(id).expect("topo order yields live nodes");
-        out.push_str(&format!(
-            "node {} {} {} {} {} {}\n",
-            id,
-            n.task_id,
-            n.op_id,
-            match n.parent {
-                Some(p) => p.to_string(),
-                None => "-".to_string(),
-            },
-            encode_dims(&n.input_shape),
-            encode_spec(&n.spec)
-        ));
-    }
-    out
-}
-
-/// Restores a graph from the text header.
-pub fn decode_graph(text: &str) -> Result<AbsGraph> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| bad("empty header".into()))?;
-    if header != format!("gmorph-graph v{FORMAT_VERSION}") {
-        return Err(bad(format!("unsupported header {header:?}")));
-    }
-    let mut input_shape = None;
-    let mut tasks = Vec::new();
-    let mut nodes: Vec<(usize, AbsNode)> = Vec::new();
-    for line in lines {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        match parts.first().copied() {
-            Some("input") => {
-                input_shape = Some(decode_dims(parts.get(1).copied().unwrap_or(""))?)
-            }
-            Some("task") => {
-                if parts.len() != 5 {
-                    return Err(bad(format!("bad task line {line:?}")));
-                }
-                tasks.push(TaskSpec {
-                    name: parts[1].to_string(),
-                    classes: parts[2].parse().map_err(|_| bad("bad classes".into()))?,
-                    metric: decode_metric(parts[3])?,
-                    loss: decode_loss(parts[4])?,
-                });
-            }
-            Some("node") => {
-                if parts.len() != 7 {
-                    return Err(bad(format!("bad node line {line:?}")));
-                }
-                let id: usize = parts[1].parse().map_err(|_| bad("bad id".into()))?;
-                let spec = decode_spec(parts[6])?;
-                nodes.push((
-                    id,
-                    AbsNode {
-                        task_id: parts[2].parse().map_err(|_| bad("bad task id".into()))?,
-                        op_id: parts[3].parse().map_err(|_| bad("bad op id".into()))?,
-                        op_type: op_type_of(&spec),
-                        spec,
-                        input_shape: decode_dims(parts[5])?,
-                        capacity: 0,
-                        parent: match parts[4] {
-                            "-" => None,
-                            p => Some(p.parse().map_err(|_| bad("bad parent".into()))?),
-                        },
-                        children: vec![],
-                    },
-                ));
-            }
-            Some(other) => return Err(bad(format!("unknown record {other:?}"))),
-            None => {}
-        }
-    }
-    let input_shape = input_shape.ok_or_else(|| bad("missing input record".into()))?;
-    // Rebuild the arena preserving original node ids via an id map.
-    let mut g = AbsGraph::new(input_shape, tasks);
-    let mut id_map = std::collections::HashMap::new();
-    for (old_id, mut node) in nodes {
-        node.parent = match node.parent {
-            Some(p) => Some(*id_map.get(&p).ok_or_else(|| {
-                bad(format!("node {old_id} references unknown parent {p}"))
-            })?),
-            None => None,
-        };
-        let new_id = g.add_node(node)?;
-        id_map.insert(old_id, new_id);
-    }
-    g.validate()?;
-    Ok(g)
-}
-
 fn encode_ids(ids: &[usize]) -> String {
     if ids.is_empty() {
         return "-".to_string();
@@ -280,14 +209,12 @@ fn decode_ids(s: &str) -> Result<Vec<usize>> {
         .collect()
 }
 
-/// Serializes a graph's *exact* arena state for crash-safe checkpointing.
+/// Serializes a graph's *exact* arena state: the text header of model
+/// records and of search snapshots.
 ///
-/// The portable [`encode_graph`] renumbers node ids on reload; that is
-/// fine for shipping models, but a search checkpoint must restore the
-/// arena bit-exactly — node ids, root and child ordering, and the
-/// `next_id`/`next_synthetic_op` allocation counters all feed future
-/// mutations, so any renumbering makes a resumed search diverge from the
-/// uninterrupted one.
+/// Node ids, root and child ordering, and the `next_id`/`next_synthetic_op`
+/// allocation counters all feed future mutations, so any renumbering
+/// would make a resumed search diverge from the uninterrupted one.
 pub fn encode_graph_exact(graph: &AbsGraph) -> String {
     let (next_id, next_syn) = graph.arena_counters();
     let mut out = format!("gmorph-graph-exact v{FORMAT_VERSION}\n");
@@ -394,30 +321,12 @@ pub fn decode_graph_exact(text: &str) -> Result<AbsGraph> {
     AbsGraph::from_arena(input_shape, tasks, nodes, roots, next_id, next_syn)
 }
 
-fn model_entries(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<(String, Tensor)>> {
-    model_entries_with(encode_graph(graph), graph, weights)
-}
-
-fn model_entries_with(
-    header: String,
-    graph: &AbsGraph,
-    weights: &WeightStore,
-) -> Result<Vec<(String, Tensor)>> {
-    let header_bytes: Vec<f32> = header.bytes().map(|b| b as f32).collect();
-    let mut entries = vec![(
-        "__graph".to_string(),
-        Tensor::from_vec(&[header_bytes.len()], header_bytes)?,
-    )];
-    entries.extend(weight_entries(graph, weights)?);
-    Ok(entries)
-}
-
 /// The weight tensors of `graph`'s nodes, in graph iteration order.
 fn weight_entries(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<(String, Tensor)>> {
     let mut entries = Vec::new();
     for (_, node) in graph.iter() {
         // Weights are keyed by the stable node identity (task_id, op_id),
-        // never by arena ids: reloading re-numbers the arena.
+        // never by arena ids.
         let (t_id, op) = node.key();
         if let Some(state) = weights.lookup(node.key(), &node.spec) {
             for (j, t) in state.iter().enumerate() {
@@ -430,30 +339,6 @@ fn weight_entries(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<(String
         }
     }
     Ok(entries)
-}
-
-fn model_from_entries(entries: &[(String, Tensor)]) -> Result<(AbsGraph, WeightStore)> {
-    let header = entries
-        .iter()
-        .find(|(k, _)| k == "__graph")
-        .ok_or_else(|| bad("missing __graph entry".into()))?;
-    let text: String = header
-        .1
-        .data()
-        .iter()
-        .map(|&f| {
-            let b = f as u32;
-            char::from_u32(b).unwrap_or('\u{FFFD}')
-        })
-        .collect();
-    // Dispatch on the header line: exact (checkpoint) vs portable format.
-    let graph = if text.starts_with("gmorph-graph-exact ") {
-        decode_graph_exact(&text)?
-    } else {
-        decode_graph(&text)?
-    };
-    let weights = weights_from_entries(&graph, entries)?;
-    Ok((graph, weights))
 }
 
 /// Collects the weights of `graph`'s nodes from named entries.
@@ -479,59 +364,45 @@ fn weights_from_entries(graph: &AbsGraph, entries: &[(String, Tensor)]) -> Resul
     Ok(weights)
 }
 
-/// Saves a fused model (graph + weights) to one file.
-pub fn save_model(path: &std::path::Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
-    save_state_dict(path, &model_entries(graph, weights)?)
+/// Saves a fused model (graph + weights) to one file: its record in a
+/// checksummed envelope, written atomically.
+pub fn save_model(path: &Path, graph: &AbsGraph, weights: &WeightStore) -> Result<()> {
+    let mut env = Envelope::new(MODEL_KIND, MODEL_SCHEMA);
+    env.push("model", encode_model_bytes(graph, weights)?);
+    save_atomic(path, &env)
 }
 
-/// Loads a fused model saved by [`save_model`].
-pub fn load_model(path: &std::path::Path) -> Result<(AbsGraph, WeightStore)> {
-    model_from_entries(&load_state_dict(path)?)
+/// Loads a fused model saved by [`save_model`], arena intact.
+pub fn load_model(path: &Path) -> Result<(AbsGraph, WeightStore)> {
+    let env = load(path, MODEL_KIND)?;
+    if env.schema != MODEL_SCHEMA {
+        return Err(TensorError::Io(format!(
+            "checkpoint corrupt: model schema v{} unsupported (expected v{MODEL_SCHEMA})",
+            env.schema
+        )));
+    }
+    decode_model_bytes(env.section("model")?)
 }
 
-/// Serializes a fused model (graph + weights) to bytes.
+/// Serializes a fused model (graph + weights) as a model record: the
+/// exact graph header ([`encode_graph_exact`]) as length-prefixed UTF-8,
+/// then the weight entries as a state dict.
 ///
-/// Same format as [`save_model`], in memory. Encoding is deterministic
-/// (graph iteration order), so identical models produce identical bytes —
-/// the comparison primitive of the checkpoint/resume replay tests.
+/// Encoding is deterministic (graph iteration order), so identical models
+/// produce identical bytes: the comparison primitive of the
+/// checkpoint/resume replay tests.
 pub fn encode_model_bytes(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    gmorph_tensor::serialize::write_state_dict(&mut buf, &model_entries(graph, weights)?)?;
-    Ok(buf)
-}
-
-/// Restores a fused model from [`encode_model_bytes`] output, or from the
-/// same format with the *exact* graph header ([`encode_graph_exact`]),
-/// which search snapshots before schema v3 stored for elites and the best
-/// model (the header is self-describing).
-pub fn decode_model_bytes(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
-    let mut cursor = bytes;
-    model_from_entries(&gmorph_tensor::serialize::read_state_dict(&mut cursor)?)
-}
-
-/// Serializes a model as a search checkpoint record: the exact graph
-/// header ([`encode_graph_exact`]) as length-prefixed UTF-8 bytes, then
-/// the weight entries as a state dict.
-///
-/// ```text
-/// record := header_len(u32) header(utf8) state_dict(weight entries)
-/// ```
-///
-/// Node ids and allocation counters survive the round trip, which a
-/// search replay needs. Model files ([`encode_model_bytes`]) store their
-/// header as one `f32` per byte, four times the size.
-pub fn encode_model_record(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<u8>> {
     let header = encode_graph_exact(graph);
     let mut buf = Vec::with_capacity(4 + header.len());
     buf.extend_from_slice(&(header.len() as u32).to_le_bytes());
     buf.extend_from_slice(header.as_bytes());
-    gmorph_tensor::serialize::write_state_dict(&mut buf, &weight_entries(graph, weights)?)?;
+    write_state_dict(&mut buf, &weight_entries(graph, weights)?)?;
     Ok(buf)
 }
 
-/// Restores a model from [`encode_model_record`] output, arena intact.
+/// Restores a model from [`encode_model_bytes`] output, arena intact.
 /// Every byte must belong to the record.
-pub fn decode_model_record(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
+pub fn decode_model_bytes(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
     let (len, rest) = bytes
         .split_first_chunk::<4>()
         .ok_or_else(|| bad("record shorter than its header length".into()))?;
@@ -546,7 +417,7 @@ pub fn decode_model_record(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
     let header =
         std::str::from_utf8(header).map_err(|e| bad(format!("record header not utf8: {e}")))?;
     let graph = decode_graph_exact(header)?;
-    let entries = gmorph_tensor::serialize::read_state_dict(&mut cursor)?;
+    let entries = read_state_dict(&mut cursor)?;
     if !cursor.is_empty() {
         return Err(bad(format!("{} trailing bytes after the record", cursor.len())));
     }
@@ -564,17 +435,6 @@ mod tests {
     use gmorph_models::families::{vgg, VggDepth, VisionScale};
     use gmorph_nn::Mode;
     use gmorph_tensor::rng::Rng;
-
-    /// A model file with the exact graph header: the elite and best-model
-    /// payload of search snapshots before schema v3.
-    fn encode_model_bytes_exact(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        gmorph_tensor::serialize::write_state_dict(
-            &mut buf,
-            &model_entries_with(encode_graph_exact(graph), graph, weights)?,
-        )?;
-        Ok(buf)
-    }
 
     fn all_specs() -> Vec<BlockSpec> {
         vec![
@@ -654,8 +514,7 @@ mod tests {
     #[test]
     fn graph_text_roundtrip_preserves_structure() {
         let (g, _) = mutated_graph_with_weights();
-        let text = encode_graph(&g);
-        let back = decode_graph(&text).unwrap();
+        let back = decode_graph_exact(&encode_graph_exact(&g)).unwrap();
         assert_eq!(back.signature(), g.signature());
         assert_eq!(back.len(), g.len());
         assert_eq!(back.tasks, g.tasks);
@@ -668,10 +527,8 @@ mod tests {
         let back = decode_graph_exact(&encode_graph_exact(&g)).unwrap();
         assert_eq!(back.arena_counters(), g.arena_counters());
         assert_eq!(back.roots, g.roots);
-        assert_eq!(back.signature(), g.signature());
-        // Node ids, parent links, and child ordering must all survive —
-        // the portable codec renumbers these, which is exactly what a
-        // search checkpoint cannot tolerate.
+        // Node ids, parent links, and child ordering must all survive: a
+        // renumbered arena mutates differently.
         let arena = |g: &AbsGraph| -> Vec<(usize, Option<usize>, Vec<usize>)> {
             g.iter()
                 .map(|(id, n)| (id, n.parent, n.children.clone()))
@@ -679,9 +536,8 @@ mod tests {
         };
         assert_eq!(arena(&back), arena(&g));
 
-        // The exact header is self-describing through decode_model_bytes.
-        let bytes = encode_model_bytes_exact(&g, &store).unwrap();
-        let (g2, _) = decode_model_bytes(&bytes).unwrap();
+        // The model record carries the same arena.
+        let (g2, _) = decode_model_bytes(&encode_model_bytes(&g, &store).unwrap()).unwrap();
         assert_eq!(g2.arena_counters(), g.arena_counters());
         assert_eq!(arena(&g2), arena(&g));
     }
@@ -689,40 +545,38 @@ mod tests {
     #[test]
     fn model_record_decodes_to_the_model_file_contents() {
         let (g, store) = mutated_graph_with_weights();
-        let record = encode_model_record(&g, &store).unwrap();
-        let file = encode_model_bytes_exact(&g, &store).unwrap();
-        let (g_rec, w_rec) = decode_model_record(&record).unwrap();
-        let (g_file, w_file) = decode_model_bytes(&file).unwrap();
-        assert_eq!(g_rec.arena_counters(), g_file.arena_counters());
-        assert_eq!(encode_graph_exact(&g_rec), encode_graph_exact(&g_file));
-        assert_eq!(
-            encode_model_bytes_exact(&g_rec, &w_rec).unwrap(),
-            encode_model_bytes_exact(&g_file, &w_file).unwrap()
-        );
-        // The header as bytes instead of one f32 per byte, and no
-        // `__graph` entry framing (name length, name, rank, dim) in place
-        // of the record's own length prefix.
-        let header = encode_graph_exact(&g).len();
-        assert_eq!(file.len() - record.len(), 3 * header + (4 + 7 + 4 + 8) - 4);
+        let dir = std::env::temp_dir().join(format!("gmorph-record-{}", std::process::id()));
+        let path = dir.join("fused.gmck");
+        save_model(&path, &g, &store).unwrap();
+        // The file is an envelope whose one section is the record.
+        let env = load(&path, MODEL_KIND).unwrap();
+        assert_eq!(env.schema, MODEL_SCHEMA);
+        assert_eq!(env.sections.len(), 1);
+        let record = encode_model_bytes(&g, &store).unwrap();
+        assert_eq!(env.section("model").unwrap(), record.as_slice());
+        let (g_file, w_file) = load_model(&path).unwrap();
+        assert_eq!(encode_graph_exact(&g_file), encode_graph_exact(&g));
+        assert_eq!(encode_model_bytes(&g_file, &w_file).unwrap(), record);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn model_record_rejects_truncation_and_trailing_bytes() {
         let (g, store) = mutated_graph_with_weights();
-        let record = encode_model_record(&g, &store).unwrap();
+        let record = encode_model_bytes(&g, &store).unwrap();
         for cut in 0..record.len() {
-            assert!(decode_model_record(&record[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_model_bytes(&record[..cut]).is_err(), "cut at {cut}");
         }
         let mut longer = record.clone();
         longer.push(0);
-        assert!(decode_model_record(&longer).is_err());
+        assert!(decode_model_bytes(&longer).is_err());
     }
 
     #[test]
     fn save_load_model_reproduces_outputs() {
         let (g, store) = mutated_graph_with_weights();
         let dir = std::env::temp_dir().join(format!("gmorph-persist-{}", std::process::id()));
-        let path = dir.join("fused.gmrh");
+        let path = dir.join("fused.gmck");
         save_model(&path, &g, &store).unwrap();
         let (g2, store2) = load_model(&path).unwrap();
         assert_eq!(g2.signature(), g.signature());
@@ -754,11 +608,31 @@ mod tests {
 
     #[test]
     fn decode_rejects_corrupt_headers() {
-        assert!(decode_graph("").is_err());
-        assert!(decode_graph("gmorph-graph v999\n").is_err());
-        assert!(decode_graph("gmorph-graph v1\nnode 0 0 0 - 3x8x8 conv_relu:3:4\n").is_err());
+        assert!(decode_graph_exact("").is_err());
+        assert!(decode_graph_exact("gmorph-graph-exact v999\n").is_err());
+        // No input or arena record.
+        let headless = "gmorph-graph-exact v1\nnode 0 0 0 - 3x8x8 conv_relu:3:4 -\n";
+        assert!(decode_graph_exact(headless).is_err());
+        let graph = |input: &str, roots: &str, node: &str| {
+            format!(
+                "gmorph-graph-exact v1\ninput {input}\narena 1 0\n\
+                 task a 2 accuracy ce\nroots {roots}\nnode {node}\n"
+            )
+        };
         // Dangling parent reference.
-        let bad = "gmorph-graph v1\ninput 3x8x8\ntask a 2 accuracy ce\nnode 0 0 0 7 3x8x8 conv_relu:3:4\n";
-        assert!(decode_graph(bad).is_err());
+        let dangling = graph("3x8x8", "-", "0 0 0 7 3x8x8 conv_relu:3:4 -");
+        assert!(decode_graph_exact(&dangling).is_err());
+        // Specs that accept their input but whose capacity would divide by
+        // zero or overflow are errors, not panics.
+        let huge = "99999999999x8x8";
+        let spec_cases = [
+            ("3x8x8", "patch_embed:3:8:0:8"),
+            ("3x8x8", "conv_bn_relu:3:99999999999:99999999999:1"),
+            (huge, "rescale:99999999999x8x8:99999999998x8x8"),
+        ];
+        for (input, spec) in spec_cases {
+            let text = graph(input, "0", &format!("0 0 0 - {input} {spec} -"));
+            assert!(decode_graph_exact(&text).is_err(), "{spec}");
+        }
     }
 }

@@ -18,29 +18,30 @@
 //! instead of cloning it into an owned snapshot; [`SearchSnapshot`]
 //! encodes through the same view. The dedup set and the quarantine list
 //! hold 128-bit signature digests, 16 bytes each on disk. Models are
-//! stored as records whose exact graph header is plain bytes
-//! ([`encode_model_record`]). An elite never changes once admitted, so
+//! stored as model records, the encoding of model files
+//! ([`encode_model_bytes`]). An elite never changes once admitted, so
 //! its record is encoded the first time a snapshot holds it, cached on
 //! the [`Elite`], and copied into every later snapshot; the driver caches
 //! the `best` section the same way until the best model changes. The
 //! bytes equal a from-scratch encoding (`tests/snapshot_encoding.rs`).
 //!
 //! Schema v2 snapshots, written before digests, still decode: their
-//! signature strings are digested on load and their models read as model
-//! files, so they resume bit-identically (DESIGN.md §12).
+//! signature strings are digested on load and their models, state dicts
+//! with one `f32` per exact-header byte, are read by a v2-only reader, so
+//! they resume bit-identically (DESIGN.md §12).
 
 use crate::driver::{BestModel, CandidateStatus, SearchConfig, TraceRecord};
 use crate::history::Elite;
 use gmorph_graph::absgraph::signature_digest;
 use gmorph_graph::persist::{
-    decode_graph_exact, decode_model_bytes, decode_model_record, encode_graph_exact,
-    encode_model_record,
+    decode_graph_exact, decode_model_bytes, encode_graph_exact, encode_model_bytes,
 };
 use gmorph_graph::{AbsGraph, CapacityVector, WeightStore};
 use gmorph_tensor::checkpoint::{
     fnv1a, is_corruption, load, snapshot_files, ByteReader, ByteWriter, Envelope, FNV_OFFSET,
 };
 use gmorph_tensor::rng::RngState;
+use gmorph_tensor::serialize::{read_state_dict, write_state_dict};
 use gmorph_tensor::{Result, TensorError};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -54,7 +55,8 @@ pub const SEARCH_KIND: &str = "search";
 /// Schema version of the search snapshot payload. v2 added quarantine
 /// entries to the filter section and failed/quarantined outcome counters.
 /// v3 stores signature digests (16 bytes each) instead of signature text
-/// and model records ([`encode_model_record`]) instead of model files.
+/// and model records ([`encode_model_bytes`]) instead of state dicts with
+/// one `f32` per header byte.
 /// v2 snapshots still decode.
 pub const SEARCH_SCHEMA: u32 = 3;
 /// The older schema [`SearchSnapshot::decode`] still reads.
@@ -181,7 +183,7 @@ fn get_scores(r: &mut ByteReader) -> Result<Vec<f32>> {
 }
 
 /// The payload schema a section is decoded at: v2 stored signatures as
-/// text and models as model files, v3 digests and model records.
+/// text and models as state dicts, v3 digests and model records.
 #[derive(Debug, Clone, Copy)]
 enum Schema {
     V2,
@@ -191,9 +193,25 @@ enum Schema {
 fn get_model(r: &mut ByteReader, schema: Schema) -> Result<(AbsGraph, WeightStore)> {
     let bytes = r.get_bytes()?;
     match schema {
-        Schema::V2 => decode_model_bytes(&bytes),
-        Schema::V3 => decode_model_record(&bytes),
+        Schema::V2 => decode_v2_model(&bytes),
+        Schema::V3 => decode_model_bytes(&bytes),
     }
+}
+
+/// Reads a schema-v2 model: a state dict whose `__graph` entry holds the
+/// exact graph header, one `f32` per byte, beside the weight entries. It
+/// is rewritten as the model record it carries and decoded as one.
+fn decode_v2_model(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
+    let mut entries = read_state_dict(&mut &bytes[..])?;
+    let at = entries
+        .iter()
+        .position(|(name, _)| name == "__graph")
+        .ok_or_else(|| TensorError::Io("persist: missing __graph entry".into()))?;
+    let header: Vec<u8> = entries.remove(at).1.data().iter().map(|&b| b as u8).collect();
+    let mut record = (header.len() as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&header);
+    write_state_dict(&mut record, &entries)?;
+    decode_model_bytes(&record)
 }
 
 /// Reads one signature digest; v2 stored the signature text.
@@ -218,7 +236,7 @@ fn cached(cache: &OnceLock<Vec<u8>>, encode: impl FnOnce() -> Result<Vec<u8>>) -
 fn put_elite(w: &mut ByteWriter, e: &Elite) -> Result<()> {
     let record = cached(&e.record, || {
         let mut r = ByteWriter::new();
-        r.put_bytes(&encode_model_record(&e.mini, &e.weights)?);
+        r.put_bytes(&encode_model_bytes(&e.mini, &e.weights)?);
         r.put_str(&encode_graph_exact(&e.paper));
         r.put_f32(e.drop);
         r.put_f64(e.latency_ms);
@@ -243,7 +261,7 @@ fn get_elite(r: &mut ByteReader, schema: Schema) -> Result<Elite> {
 fn best_section(best: &BestModel, cache: Option<&OnceLock<Vec<u8>>>) -> Result<Vec<u8>> {
     let encode = || {
         let mut w = ByteWriter::new();
-        w.put_bytes(&encode_model_record(&best.mini, &best.weights)?);
+        w.put_bytes(&encode_model_bytes(&best.mini, &best.weights)?);
         w.put_str(&encode_graph_exact(&best.paper));
         w.put_f64(best.latency_ms);
         w.put_f32(best.drop);
@@ -585,7 +603,7 @@ impl SearchSnapshot {
 
     /// Restores a snapshot from an envelope, checking the schema version.
     /// Schema v2 snapshots decode too: their signatures are digested on
-    /// load and their models read as model files.
+    /// load and their models go through the v2 model reader.
     pub fn decode(env: &Envelope) -> Result<SearchSnapshot> {
         let schema = match env.schema {
             SEARCH_SCHEMA => Schema::V3,

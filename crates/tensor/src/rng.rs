@@ -286,8 +286,15 @@ mod tests {
             let x = rng.uniform(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&x));
         }
+        // The unit interval is the bare 24-bit fraction: in [0, 1), mean 1/2.
         let n = 40_000;
-        let mean = (0..n).map(|_| rng.uniform(0.0, 1.0) as f64).sum::<f64>() / n as f64;
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let x = rng.uniform(0.0, 1.0);
+            assert!((0.0..1.0).contains(&x));
+            sum += x as f64;
+        }
+        let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 

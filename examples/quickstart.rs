@@ -75,7 +75,7 @@ fn main() -> gmorph::tensor::Result<()> {
     println!("\nfused model architecture:\n{}", result.best.mini.render());
 
     // 5. Persist the fused model (graph + trained weights) and reload it.
-    let path = std::path::Path::new("target/quickstart-fused.gmrh");
+    let path = std::path::Path::new("target/quickstart-fused.gmck");
     gmorph::graph::persist::save_model(path, &result.best.mini, &result.best.weights)?;
     let (graph, weights) = gmorph::graph::persist::load_model(path)?;
     let mut reloaded = session.materialize(&graph, &weights)?;

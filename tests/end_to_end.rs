@@ -149,20 +149,17 @@ fn surrogate_and_real_agree_that_original_is_lossless() {
     }
 }
 
-/// Golden CRC-32 of the all-shared B1 model's serialized state dict after
-/// two distillation fine-tune epochs on the smoke profile. The teachers it
-/// starts from are trained in the same run, so this pins the bit patterns
-/// of every training-path kernel (conv forward/backward above all) end to
-/// end.
-const FINETUNE_MODEL_BYTES_CRC: u32 = 0x7996_d966;
-/// The same model's CRC-32 in the model record format
-/// (`encode_model_record`: exact graph header as bytes, then the weights).
+/// Golden CRC-32 of the all-shared B1 model's record (`encode_model_bytes`:
+/// exact graph header, then the weights) after two distillation fine-tune
+/// epochs on the smoke profile. The teachers it starts from are trained in
+/// the same run, so this pins the bit patterns of every training-path
+/// kernel (conv forward/backward above all) end to end.
 const FINETUNE_MODEL_RECORD_CRC: u32 = 0xfbea_17f7;
 
 #[test]
 fn finetuned_model_bytes_match_golden_hash() {
     use gmorph::graph::parser::extract_weights;
-    use gmorph::graph::persist::{encode_model_bytes, encode_model_record};
+    use gmorph::graph::persist::encode_model_bytes;
     use gmorph::perf::accuracy::{finetune, FinetuneConfig};
     use gmorph::search::evaluator::EvalMode;
     use gmorph::tensor::checkpoint::crc32;
@@ -207,28 +204,23 @@ fn finetuned_model_bytes_match_golden_hash() {
     )
     .unwrap();
     assert_eq!(result.epochs_run, 2);
-    let weights = extract_weights(&tree);
-    let bytes = encode_model_bytes(&graph, &weights).unwrap();
-    let record = encode_model_record(&graph, &weights).unwrap();
+    let bytes = encode_model_bytes(&graph, &extract_weights(&tree)).unwrap();
     assert_eq!(
-        [crc32(&bytes), crc32(&record)],
-        [FINETUNE_MODEL_BYTES_CRC, FINETUNE_MODEL_RECORD_CRC],
-        "fine-tuned model bytes changed: 0x{:08x} 0x{:08x}",
         crc32(&bytes),
-        crc32(&record)
+        FINETUNE_MODEL_RECORD_CRC,
+        "fine-tuned model bytes changed: 0x{:08x}",
+        crc32(&bytes)
     );
 }
 
-type ModelEncoder = fn(&AbsGraph, &WeightStore) -> gmorph::tensor::Result<Vec<u8>>;
-
 /// CRC-32 of every field of a search result except `wall_seconds`, floats
-/// by their bit patterns, the best model by its bytes under `encode`.
-fn search_result_crc(r: &SearchResult, encode: ModelEncoder) -> u32 {
-    use gmorph::graph::persist::encode_graph_exact;
+/// by their bit patterns, the best model by its record.
+fn search_result_crc(r: &SearchResult) -> u32 {
+    use gmorph::graph::persist::{encode_graph_exact, encode_model_bytes};
     use gmorph::tensor::checkpoint::{crc32, ByteWriter};
 
     let mut w = ByteWriter::new();
-    w.put_bytes(&encode(&r.best.mini, &r.best.weights).unwrap());
+    w.put_bytes(&encode_model_bytes(&r.best.mini, &r.best.weights).unwrap());
     w.put_str(&encode_graph_exact(&r.best.paper));
     w.put_f64(r.best.latency_ms);
     w.put_f32(r.best.drop);
@@ -268,8 +260,6 @@ fn search_result_crc(r: &SearchResult, encode: ModelEncoder) -> u32 {
 /// early termination and a zero budget; surrogate with a panic injected
 /// at the first evaluated iteration; a 4-iteration real-mode search. They
 /// pin the search loop's decisions, RNG consumption and bookkeeping.
-const SEARCH_RESULT_CRCS: [u32; 4] = [0x999e_9ec0, 0x211e_8528, 0x2f88_518d, 0xbae0_e4c6];
-/// The same searches with the best model in the model record format.
 const SEARCH_RESULT_RECORD_CRCS: [u32; 4] = [0xf980_15f7, 0x5ce5_f469, 0xf166_3955, 0x01be_e332];
 
 #[test]
@@ -335,15 +325,10 @@ fn search_results_match_golden_hashes() {
         .unwrap();
     assert!(real.evaluated > 0);
 
-    use gmorph::graph::persist::{encode_model_bytes, encode_model_record};
-    let results = [&plain, &filtered, &faulted, &real];
-    let got = results.map(|r| search_result_crc(r, encode_model_bytes));
-    let got_record = results.map(|r| search_result_crc(r, encode_model_record));
+    let got = [&plain, &filtered, &faulted, &real].map(search_result_crc);
     assert_eq!(
-        (got, got_record),
-        (SEARCH_RESULT_CRCS, SEARCH_RESULT_RECORD_CRCS),
-        "search results changed: {:#010x?} {:#010x?}",
-        got,
-        got_record
+        got, SEARCH_RESULT_RECORD_CRCS,
+        "search results changed: {:#010x?}",
+        got
     );
 }

@@ -331,6 +331,23 @@ fn config_file_attack_surface() {
     if let Ok(cfg) = parse("accuracy_threshold = NaN") {
         assert!(cfg.accuracy_threshold.is_nan());
     }
+    // Random strings over the config and JSON alphabets, through both text
+    // decoders (config files, trace lines): Ok or Err, never a panic.
+    const ALPHABET: &[char] = &[
+        '=', '#', '\n', ' ', '-', '.', 'e', '0', '1', '9', 'a', 'N', '[', ']', '{', '}', ':',
+        ',', '"', '\\', 'u', 't', 'n', 'l', 'f', '\u{0}', 'é', '\u{10FFFF}',
+    ];
+    let keys = ["iterations = ", "lr = ", "metric = ", "seed = ", "[", "{\"a\":"];
+    let mut rng = Rng::new(315);
+    for _ in 0..4000 {
+        let len = rng.below(40);
+        let mut text: String = (0..len).map(|_| *rng.choose(ALPHABET).unwrap()).collect();
+        if rng.coin(0.5) {
+            text.insert_str(0, rng.choose(&keys).unwrap());
+        }
+        let _ = parse(&text);
+        let _ = gmorph::telemetry::json::Json::parse(&text);
+    }
 }
 
 /// The schema-v2 snapshot of `tests/fixtures/search-v2` and its schema-v3
@@ -345,6 +362,38 @@ fn fuzz_bases() -> [gmorph::tensor::checkpoint::Envelope; 2] {
     let v3 = SearchSnapshot::decode(&v2).unwrap().encode().unwrap();
     assert_eq!(v3.schema, SEARCH_SCHEMA);
     [v2, v3]
+}
+
+/// The best model of the schema-v2 fixture snapshot, saved as a model
+/// file; returns the file's path and bytes. `tag` keeps concurrent
+/// callers' files apart.
+fn fuzz_model_file(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
+    use gmorph::graph::persist::save_model;
+    use gmorph::search::checkpoint::SearchSnapshot;
+    let best = SearchSnapshot::decode(&fuzz_bases()[0]).unwrap().best;
+    let dir = std::env::temp_dir().join(format!("gmorph-model-{tag}-{}", std::process::id()));
+    let path = dir.join("best.gmck");
+    save_model(&path, &best.mini, &best.weights).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    (path, bytes)
+}
+
+#[test]
+fn model_files_reject_every_flipped_byte() {
+    use gmorph::graph::persist::load_model;
+    use gmorph::tensor::checkpoint::is_corruption;
+    let (path, bytes) = fuzz_model_file("flip");
+    load_model(&path).unwrap();
+    for at in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0xA5;
+        std::fs::write(&path, &flipped).unwrap();
+        match load_model(&path) {
+            Ok(_) => panic!("byte {at} flipped and the model still loaded"),
+            Err(e) => assert!(is_corruption(&e), "byte {at}: {e}"),
+        }
+    }
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 /// Sections whose first field is a count, a length or a bounded index,
@@ -402,5 +451,39 @@ proptest::proptest! {
                 "section {} cut to {} bytes decoded at schema v{}", name, len, base.schema
             );
         }
+    }
+
+    /// Inside a valid model envelope (so the CRC cannot reject them
+    /// first), random record bytes and truncated records fail to load. A
+    /// flipped bit never panics the loader; it may still load (a flipped
+    /// weight bit is another weight), and then the model encodes again.
+    #[test]
+    fn corrupted_model_records_never_panic(
+        bytes in proptest::collection::vec(0u8..=255, 0..600),
+        bit in 0usize..1 << 20,
+        cut in 0usize..1 << 20,
+    ) {
+        use gmorph::graph::persist::{encode_model_bytes, load_model, MODEL_KIND, MODEL_SCHEMA};
+        use gmorph::tensor::checkpoint::{save_atomic, Envelope};
+        let (path, file) = fuzz_model_file("record");
+        let record = Envelope::decode(&file).unwrap().section("model").unwrap().to_vec();
+        let save = |section: Vec<u8>| {
+            let mut env = Envelope::new(MODEL_KIND, MODEL_SCHEMA);
+            env.push("model", section);
+            save_atomic(&path, &env).unwrap();
+        };
+        save(bytes);
+        proptest::prop_assert!(load_model(&path).is_err(), "random record loaded");
+        let mut flipped = record.clone();
+        let bit = bit % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        save(flipped);
+        if let Ok((graph, weights)) = load_model(&path) {
+            encode_model_bytes(&graph, &weights).unwrap();
+        }
+        let len = cut % record.len();
+        save(record[..len].to_vec());
+        proptest::prop_assert!(load_model(&path).is_err(), "record cut to {} bytes loaded", len);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }
