@@ -161,6 +161,97 @@ impl Reporter {
     }
 }
 
+/// Times `f` as min-over-samples nanoseconds per call. One untimed warmup
+/// sample runs first; keeping the fastest sample suppresses scheduler
+/// noise.
+pub fn time_ns(iters: usize, samples: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..iters {
+        f();
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let start = std::time::Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+/// One timed operation of a `BENCH_*.json` file. Fields that are `None`
+/// are left out of the record.
+#[derive(Debug, Clone)]
+pub struct BenchRecord {
+    /// Operation name.
+    pub op: String,
+    /// Configuration the operation ran under (e.g. `"pool_on"`).
+    pub config: Option<&'static str>,
+    /// Input shape.
+    pub shape: Option<String>,
+    /// Thread cap the operation ran under.
+    pub threads: Option<usize>,
+    /// Nanoseconds per call ([`time_ns`]).
+    pub ns_per_iter: f64,
+}
+
+impl BenchRecord {
+    fn to_json(&self) -> String {
+        let mut out = format!("{{\"op\": \"{}\"", self.op);
+        if let Some(config) = self.config {
+            let _ = write!(out, ", \"config\": \"{config}\"");
+        }
+        if let Some(shape) = &self.shape {
+            let _ = write!(out, ", \"shape\": \"{shape}\"");
+        }
+        if let Some(threads) = self.threads {
+            let _ = write!(out, ", \"threads\": {threads}");
+        }
+        let _ = write!(out, ", \"ns_per_iter\": {:.0}}}", self.ns_per_iter);
+        out
+    }
+}
+
+/// Prints `records` as a table and writes `name` under `out_dir`: a JSON
+/// object of the `head` fields, the `records` array, then the `tail`
+/// fields. Field values are JSON text.
+pub fn write_bench_json(
+    out_dir: &std::path::Path,
+    name: &str,
+    head: &[(&str, String)],
+    records: &[BenchRecord],
+    tail: &[(&str, String)],
+) {
+    let cell = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    println!(
+        "{:<20} {:>10} {:>18} {:>8} {:>14}",
+        "op", "config", "shape", "threads", "ns/iter"
+    );
+    let mut json = String::from("{\n");
+    for (key, value) in head {
+        let _ = writeln!(json, "  \"{key}\": {value},");
+    }
+    json.push_str("  \"records\": [\n");
+    for (i, r) in records.iter().enumerate() {
+        println!(
+            "{:<20} {:>10} {:>18} {:>8} {:>14.0}",
+            r.op,
+            cell(r.config.map(str::to_string)),
+            cell(r.shape.clone()),
+            cell(r.threads.map(|t| t.to_string())),
+            r.ns_per_iter
+        );
+        let comma = if i + 1 == records.len() { "" } else { "," };
+        let _ = writeln!(json, "    {}{comma}", r.to_json());
+    }
+    json.push_str("  ]");
+    for (key, value) in tail {
+        let _ = write!(json, ",\n  \"{key}\": {value}");
+    }
+    json.push_str("\n}\n");
+    Reporter::new(out_dir).write_text(name, &json);
+}
+
 /// Formats a float with fixed precision for table cells.
 pub fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")

@@ -16,36 +16,23 @@
 //! so CI can track the before/after numbers without parsing criterion
 //! output.
 
+use crate::common::{time_ns, write_bench_json, BenchRecord};
 use crate::ExperimentOpts;
 use gmorph::nn::{Block, Mode};
 use gmorph::tensor::conv::{conv2d_forward, Conv2dGeom};
 use gmorph::tensor::ops::{relu_forward, Activation};
 use gmorph::tensor::rng::Rng;
 use gmorph::tensor::{buffer, gemm, Tensor};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
-struct Record {
-    op: &'static str,
-    config: &'static str,
-    ns_per_iter: f64,
-}
-
-/// Times `f` as min-over-samples nanoseconds per call.
-fn time_ns(iters: usize, samples: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters {
-        f();
+fn record(op: &str, config: &'static str, ns_per_iter: f64) -> BenchRecord {
+    BenchRecord {
+        op: op.to_string(),
+        config: Some(config),
+        shape: None,
+        threads: None,
+        ns_per_iter,
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
 /// Runs `f` once with the pool off and once with it on (cleared first so
@@ -64,7 +51,7 @@ fn with_pool_off_on(mut f: impl FnMut() -> f64) -> (f64, f64) {
 
 /// Conv forward with a large im2col footprint: without the pool every call
 /// allocates (and the allocator often mmaps) ~1 MiB of scratch per sample.
-fn conv_forward_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f64 {
+fn conv_forward_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -> f64 {
     let mut rng = Rng::new(opts.seed);
     let x = Tensor::randn(&[8, 32, 32, 32], 1.0, &mut rng);
     let w = Tensor::randn(&[8, 32, 3, 3], 0.5, &mut rng);
@@ -77,23 +64,15 @@ fn conv_forward_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f64
             black_box(conv2d_forward(black_box(&x), black_box(&w), Some(&b), geom).unwrap());
         })
     });
-    records.push(Record {
-        op: "conv_forward",
-        config: "pool_off",
-        ns_per_iter: off,
-    });
-    records.push(Record {
-        op: "conv_forward",
-        config: "pool_on",
-        ns_per_iter: on,
-    });
+    records.push(record("conv_forward", "pool_off", off));
+    records.push(record("conv_forward", "pool_on", on));
     off / on
 }
 
 /// One fine-tuning step (train forward + backward) of a small conv stack:
 /// the steady-state loop the pool targets — im2col scratch, packing
 /// buffers, col2im targets, and gradient buffers all recycle.
-fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f64 {
+fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -> f64 {
     let mut rng = Rng::new(opts.seed ^ 2);
     let mut b1 = Block::conv_relu(16, 32, &mut rng).unwrap();
     let mut b2 = Block::conv_relu(32, 32, &mut rng).unwrap();
@@ -108,16 +87,8 @@ fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f6
             black_box(b1.backward(&g).unwrap());
         })
     });
-    records.push(Record {
-        op: "finetune_step",
-        config: "pool_off",
-        ns_per_iter: off,
-    });
-    records.push(Record {
-        op: "finetune_step",
-        config: "pool_on",
-        ns_per_iter: on,
-    });
+    records.push(record("finetune_step", "pool_off", off));
+    records.push(record("finetune_step", "pool_on", on));
     off / on
 }
 
@@ -126,7 +97,7 @@ fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f6
 /// GEMM memory-bound, which is where folding the bias/activation passes
 /// into the output write pays — on compute-bound shapes (or tanh-heavy
 /// GELU) fusion is a wash and its value is the elided intermediate.
-fn fused_eval_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f64 {
+fn fused_eval_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -> f64 {
     let mut rng = Rng::new(opts.seed ^ 3);
     let a = Tensor::randn(&[512, 16], 1.0, &mut rng);
     let w = Tensor::randn(&[512, 16], 0.5, &mut rng);
@@ -149,16 +120,8 @@ fn fused_eval_records(opts: &ExperimentOpts, records: &mut Vec<Record>) -> f64 {
     buffer::set_enabled(None);
     buffer::clear();
 
-    records.push(Record {
-        op: "linear_relu",
-        config: "unfused",
-        ns_per_iter: unfused_ns,
-    });
-    records.push(Record {
-        op: "linear_relu",
-        config: "fused",
-        ns_per_iter: fused_ns,
-    });
+    records.push(record("linear_relu", "unfused", unfused_ns));
+    records.push(record("linear_relu", "fused", fused_ns));
     unfused_ns / fused_ns
 }
 
@@ -169,36 +132,21 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     let step_speedup = finetune_step_records(opts, &mut records);
     let fused_speedup = fused_eval_records(opts, &mut records);
 
-    println!("{:<16} {:>10} {:>14}", "op", "config", "ns/iter");
-    let mut json = String::from("{\n  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        println!("{:<16} {:>10} {:>14.0}", r.op, r.config, r.ns_per_iter);
-        let _ = writeln!(
-            json,
-            "    {{\"op\": \"{}\", \"config\": \"{}\", \"ns_per_iter\": {:.0}}}{}",
-            r.op,
-            r.config,
-            r.ns_per_iter,
-            if i + 1 == records.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n  \"speedups\": {\n");
-    let _ = writeln!(json, "    \"conv_forward\": {conv_speedup:.3},");
-    let _ = writeln!(json, "    \"finetune_step\": {step_speedup:.3},");
-    let _ = writeln!(json, "    \"fused_eval\": {fused_speedup:.3}");
-    json.push_str("  }\n}\n");
     println!(
         "speedups: conv_forward {conv_speedup:.2}x, finetune_step {step_speedup:.2}x, \
          fused_eval {fused_speedup:.2}x"
     );
-
-    std::fs::create_dir_all(&opts.out_dir).ok();
-    let path = opts.out_dir.join("BENCH_alloc.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[wrote {}]", path.display());
-    }
+    let speedups = format!(
+        "{{\"conv_forward\": {conv_speedup:.3}, \"finetune_step\": {step_speedup:.3}, \
+         \"fused_eval\": {fused_speedup:.3}}}"
+    );
+    write_bench_json(
+        &opts.out_dir,
+        "BENCH_alloc.json",
+        &[],
+        &records,
+        &[("speedups", speedups)],
+    );
     Ok(())
 }
 

@@ -19,20 +19,12 @@
 //! (`conv2d_backward_geom`) on each of the tower's eight layers at the
 //! fine-tuning batch of 64, plus `conv_tower_fwd_bwd`, their sum.
 
+use crate::common::{time_ns, write_bench_json, BenchRecord};
 use crate::ExperimentOpts;
 use gmorph::tensor::conv::{conv2d_backward_geom, conv2d_forward, Conv2dGeom};
 use gmorph::tensor::rng::Rng;
 use gmorph::tensor::{buffer, engine, gemm, simd, Tensor};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
-
-struct Record {
-    op: String,
-    shape: String,
-    threads: usize,
-    ns_per_iter: f64,
-}
 
 /// The eight 3×3/s1/p1 convolutions of B1's mini-scale VGG-13 tower
 /// (base width 4, 16×16 input, 2×2 pooling after every second layer):
@@ -51,24 +43,17 @@ const VGG13_B1: [(usize, usize, usize); 8] = [
 /// Fine-tuning batch size of B1 (§6.1).
 const BATCH: usize = 64;
 
-/// Times `f` as min-over-samples nanoseconds per call.
-fn time_ns(iters: usize, samples: usize, mut f: impl FnMut()) -> f64 {
-    // One warmup sample, then keep the fastest to suppress scheduler noise.
-    for _ in 0..iters {
-        f();
+fn record(op: &str, shape: String, threads: usize, ns_per_iter: f64) -> BenchRecord {
+    BenchRecord {
+        op: op.to_string(),
+        config: None,
+        shape: Some(shape),
+        threads: Some(threads),
+        ns_per_iter,
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
-fn gemm_records(opts: &ExperimentOpts, records: &mut Vec<Record>) {
+fn gemm_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     let mut rng = Rng::new(opts.seed);
     let dim = if opts.quick { 128 } else { 256 };
     let a = Tensor::randn(&[dim, dim], 1.0, &mut rng);
@@ -76,29 +61,21 @@ fn gemm_records(opts: &ExperimentOpts, records: &mut Vec<Record>) {
     let shape = format!("{dim}x{dim}x{dim}");
     let (iters, samples) = if opts.quick { (2, 3) } else { (4, 5) };
 
-    records.push(Record {
-        op: "gemm_naive".to_string(),
-        shape: shape.clone(),
-        threads: 1,
-        ns_per_iter: time_ns(iters, samples, || {
-            black_box(gemm::naive::matmul(black_box(&a), black_box(&b)).unwrap());
-        }),
+    let naive_ns = time_ns(iters, samples, || {
+        black_box(gemm::naive::matmul(black_box(&a), black_box(&b)).unwrap());
     });
+    records.push(record("gemm_naive", shape.clone(), 1, naive_ns));
     for threads in [1usize, engine::num_threads().max(2)] {
         engine::with_thread_limit(threads, || {
-            records.push(Record {
-                op: "gemm_blocked".to_string(),
-                shape: shape.clone(),
-                threads,
-                ns_per_iter: time_ns(iters, samples, || {
-                    black_box(gemm::matmul(black_box(&a), black_box(&b)).unwrap());
-                }),
+            let ns = time_ns(iters, samples, || {
+                black_box(gemm::matmul(black_box(&a), black_box(&b)).unwrap());
             });
+            records.push(record("gemm_blocked", shape.clone(), threads, ns));
         });
     }
 }
 
-fn conv_records(opts: &ExperimentOpts, records: &mut Vec<Record>) {
+fn conv_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     let mut rng = Rng::new(opts.seed ^ 1);
     let geom = Conv2dGeom::new(3, 1, 1).unwrap();
     let (iters, samples) = if opts.quick { (2, 3) } else { (10, 7) };
@@ -130,20 +107,11 @@ fn conv_records(opts: &ExperimentOpts, records: &mut Vec<Record>) {
                 });
                 tower += fwd_ns + bwd_ns;
                 for (op, ns) in [("conv_fwd", fwd_ns), ("conv_bwd", bwd_ns)] {
-                    records.push(Record {
-                        op: op.to_string(),
-                        shape: shape.clone(),
-                        threads,
-                        ns_per_iter: ns,
-                    });
+                    records.push(record(op, shape.clone(), threads, ns));
                 }
             }
-            records.push(Record {
-                op: "conv_tower_fwd_bwd".to_string(),
-                shape: format!("vgg13-b1-n{BATCH}"),
-                threads,
-                ns_per_iter: tower,
-            });
+            let shape = format!("vgg13-b1-n{BATCH}");
+            records.push(record("conv_tower_fwd_bwd", shape, threads, tower));
         });
     }
 }
@@ -155,46 +123,15 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     conv_records(opts, &mut records);
 
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!(
-        "nproc {nproc}, threads {}, pool {}, simd {}",
-        engine::num_threads(),
-        buffer::enabled(),
-        simd::instance()
-    );
-    println!(
-        "{:<20} {:>18} {:>8} {:>14}",
-        "op", "shape", "threads", "ns/iter"
-    );
-    let mut json = format!(
-        "{{\n  \"nproc\": {nproc},\n  \"threads\": {},\n  \"pool\": {},\n  \"simd\": \"{}\",\n  \"records\": [\n",
-        engine::num_threads(),
-        buffer::enabled(),
-        simd::instance()
-    );
-    for (i, r) in records.iter().enumerate() {
-        println!(
-            "{:<20} {:>18} {:>8} {:>14.0}",
-            r.op, r.shape, r.threads, r.ns_per_iter
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"op\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"ns_per_iter\": {:.0}}}{}",
-            r.op,
-            r.shape,
-            r.threads,
-            r.ns_per_iter,
-            if i + 1 == records.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::create_dir_all(&opts.out_dir).ok();
-    let path = opts.out_dir.join("BENCH_kernels.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[wrote {}]", path.display());
-    }
+    let (threads, pool, simd) = (engine::num_threads(), buffer::enabled(), simd::instance());
+    println!("nproc {nproc}, threads {threads}, pool {pool}, simd {simd}");
+    let head = [
+        ("nproc", nproc.to_string()),
+        ("threads", threads.to_string()),
+        ("pool", pool.to_string()),
+        ("simd", format!("\"{simd}\"")),
+    ];
+    write_bench_json(&opts.out_dir, "BENCH_kernels.json", &head, &records, &[]);
     Ok(())
 }
 
