@@ -341,8 +341,10 @@ fn weight_entries(graph: &AbsGraph, weights: &WeightStore) -> Result<Vec<(String
     Ok(entries)
 }
 
-/// Collects the weights of `graph`'s nodes from named entries.
-fn weights_from_entries(graph: &AbsGraph, entries: &[(String, Tensor)]) -> Result<WeightStore> {
+/// Collects the weights of `graph`'s nodes from named entries, the
+/// weight half of a model record (entries `w{task}.{op}.t{j}` and
+/// `w{task}.{op}.count` per node).
+pub fn weights_from_entries(graph: &AbsGraph, entries: &[(String, Tensor)]) -> Result<WeightStore> {
     let by_name: HashMap<&str, &Tensor> = entries.iter().map(|(k, t)| (k.as_str(), t)).collect();
     let mut weights = WeightStore::new();
     for (_, node) in graph.iter() {

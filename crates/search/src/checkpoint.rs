@@ -35,13 +35,14 @@ use crate::history::Elite;
 use gmorph_graph::absgraph::signature_digest;
 use gmorph_graph::persist::{
     decode_graph_exact, decode_model_bytes, encode_graph_exact, encode_model_bytes,
+    weights_from_entries,
 };
 use gmorph_graph::{AbsGraph, CapacityVector, WeightStore};
 use gmorph_tensor::checkpoint::{
     fnv1a, is_corruption, load, snapshot_files, ByteReader, ByteWriter, Envelope, FNV_OFFSET,
 };
 use gmorph_tensor::rng::RngState;
-use gmorph_tensor::serialize::{read_state_dict, write_state_dict};
+use gmorph_tensor::serialize::read_state_dict;
 use gmorph_tensor::{Result, TensorError};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -199,19 +200,19 @@ fn get_model(r: &mut ByteReader, schema: Schema) -> Result<(AbsGraph, WeightStor
 }
 
 /// Reads a schema-v2 model: a state dict whose `__graph` entry holds the
-/// exact graph header, one `f32` per byte, beside the weight entries. It
-/// is rewritten as the model record it carries and decoded as one.
+/// exact graph header, one `f32` per byte, beside the weight entries.
 fn decode_v2_model(bytes: &[u8]) -> Result<(AbsGraph, WeightStore)> {
-    let mut entries = read_state_dict(&mut &bytes[..])?;
-    let at = entries
+    let entries = read_state_dict(&mut &bytes[..])?;
+    let (_, header) = entries
         .iter()
-        .position(|(name, _)| name == "__graph")
+        .find(|(name, _)| name == "__graph")
         .ok_or_else(|| TensorError::Io("persist: missing __graph entry".into()))?;
-    let header: Vec<u8> = entries.remove(at).1.data().iter().map(|&b| b as u8).collect();
-    let mut record = (header.len() as u32).to_le_bytes().to_vec();
-    record.extend_from_slice(&header);
-    write_state_dict(&mut record, &entries)?;
-    decode_model_bytes(&record)
+    let header: Vec<u8> = header.data().iter().map(|&b| b as u8).collect();
+    let header = std::str::from_utf8(&header)
+        .map_err(|e| TensorError::Io(format!("persist: graph header not utf8: {e}")))?;
+    let graph = decode_graph_exact(header)?;
+    let weights = weights_from_entries(&graph, &entries)?;
+    Ok((graph, weights))
 }
 
 /// Reads one signature digest; v2 stored the signature text.
