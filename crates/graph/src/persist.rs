@@ -36,10 +36,10 @@ use std::path::Path;
 
 const FORMAT_VERSION: u32 = 1;
 
-/// Largest value a decoded dimension or spec field may hold. Every real
-/// block is far below it (BERT's 30,522-token vocabulary is the largest
-/// field), and a product of four such fields, a conv's weight count,
-/// still fits in `usize`.
+/// Largest value a decoded dimension or spec field may hold. Every block
+/// of the benchmark models is below it (BERT's 30,522-token vocabulary is
+/// the largest field), and a product of four such fields, a conv's weight
+/// count, still fits in a 64-bit `usize`.
 const MAX_FIELD: usize = (1 << 16) - 1;
 
 /// Payload kind of model files.
