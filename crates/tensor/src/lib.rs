@@ -41,6 +41,42 @@ pub mod tensor;
 #[path = "../tests/grid/mod.rs"]
 mod grid;
 
+/// Checks on the raw ChaCha12 draws behind [`rng::Rng`].
+#[cfg(test)]
+mod tests {
+    use crate::rng::Rng;
+
+    #[test]
+    fn deterministic_and_seed_sensitive() {
+        let mut a = Rng::new(42);
+        let mut b = Rng::new(42);
+        let mut c = Rng::new(43);
+        let xa: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
+        let xb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
+        let xc: Vec<u64> = (0..32).map(|_| c.next_u64()).collect();
+        assert_eq!(xa, xb);
+        assert_ne!(xa, xc);
+    }
+
+    #[test]
+    fn floats_land_in_unit_interval() {
+        let mut rng = Rng::new(7);
+        for _ in 0..10_000 {
+            let x = rng.next_f32();
+            assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn float_mean_is_half() {
+        let mut rng = Rng::new(11);
+        let n = 40_000;
+        let sum: f64 = (0..n).map(|_| rng.next_f32() as f64).sum();
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+}
+
 pub use error::{FailureKind, FaultKind, FaultSpec, GmorphError};
 pub use shape::Shape;
 pub use tensor::Tensor;
