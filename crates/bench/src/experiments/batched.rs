@@ -4,12 +4,18 @@
 //! or adopting parallel simulated annealing algorithms" to cut search
 //! time. The search loop runs `candidates_per_round` candidates per round
 //! and fine-tunes each round's survivors concurrently; this experiment
-//! compares rounds of 2, 4 and 8 against sequential search (one per round)
-//! at equal candidate budgets: search quality should match (staler elite
-//! feedback costs little) while wall-clock time scales with available
-//! cores (on a single-core machine both take similar wall time — the
-//! virtual-clock column shows the cost that parallel hardware would
-//! divide).
+//! runs rounds of 1 (sequential search), 2, 4 and 8 on B1 at a 1% budget,
+//! one seed and an equal candidate budget. Per round size it reports the
+//! best speedup and latency found, the virtual search hours and the
+//! wall-clock seconds.
+//!
+//! It measures search quality at an equal candidate budget, not a
+//! parallel gain. In `results/batched.csv` larger rounds find worse
+//! models (K = 1 3.32×, K = 4 2.39×); one seed cannot tell a real loss
+//! from noise, and no cause is established. The virtual clock charges a
+//! round's candidates one after another, so K > 1 gets no credit for
+//! parallel hardware, and surrogate wall time is too short to show one. ROADMAP item 7 holds the
+//! open work: many seeds, a max-per-round clock, and a fix for the loss.
 
 use crate::common::{f, paper_config, ExperimentOpts, Reporter};
 use gmorph::prelude::*;

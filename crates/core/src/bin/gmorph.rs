@@ -26,18 +26,21 @@
 //! snapshotted into DIR every `--checkpoint-every` iterations (and on
 //! panic), and `--resume` continues bit-exactly from the newest valid
 //! snapshot after a crash. `checkpoint-inspect` prints a snapshot's
-//! header and contents; `trace-diff` compares two search-trace JSONL
-//! files ignoring wall-clock fields (the resume-smoke CI check).
+//! header and contents.
 //!
 //! `--trace PATH` (or the `GMORPH_TRACE` environment variable) enables
 //! structured telemetry: every span, search iteration, and metric flush is
-//! appended to PATH as JSONL, and the search trace is additionally saved
-//! next to it as `PATH.trace.jsonl` for offline curve plotting.
-//! `trace-validate` checks such a file against the documented schema.
+//! appended to PATH as JSONL. Its `search.iter` and `search.done` events
+//! are the search trace (the data of Figure 8's curves).
+//! `trace-validate` checks such a file against the documented schema;
+//! `trace-diff` compares the search traces of two such files, ignoring
+//! wall-clock time (the resume-smoke CI check).
 
 use gmorph::perf::estimator::estimate_latency_ms;
 use gmorph::prelude::*;
+use gmorph::telemetry::{Event, EventKind, Value};
 use gmorph::{baselines, configfile, telemetry};
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 struct Cli {
@@ -227,13 +230,6 @@ fn cmd_trace_validate(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// The trace path in effect: `--trace` beats the `GMORPH_TRACE` variable.
-fn effective_trace(cli: &Cli) -> Option<std::path::PathBuf> {
-    cli.trace
-        .clone()
-        .or_else(|| std::env::var_os("GMORPH_TRACE").map(Into::into))
-}
-
 fn cmd_optimize(cli: &Cli) -> Result<(), String> {
     let bench_id = cli.bench.ok_or("optimize needs --bench")?;
     let mut cfg = match &cli.config {
@@ -305,12 +301,6 @@ fn cmd_optimize(cli: &Cli) -> Result<(), String> {
         }
     );
     let r = session.optimize(&cfg).map_err(|e| e.to_string())?;
-    if let Some(path) = effective_trace(cli) {
-        let artifact = path.with_extension("trace.jsonl");
-        gmorph::search::persist::save_trace(&artifact, &r)
-            .map_err(|e| format!("saving search trace: {e}"))?;
-        say!(cli, "search trace saved to {}", artifact.display());
-    }
     println!(
         "original {:.2} ms -> fused {:.2} ms ({:.2}x)",
         r.original_latency_ms, r.best.latency_ms, r.speedup
@@ -367,100 +357,119 @@ fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// Compares two search-trace JSONL files, ignoring wall-clock fields
-/// (`wall_seconds` is never bit-identical across runs; everything else
-/// must be). This is the CI resume-smoke equality check.
-fn cmd_trace_diff(cli: &Cli) -> Result<(), String> {
-    let a_path = cli.target.as_ref().ok_or("trace-diff needs two file paths")?;
-    let b_path = cli.target2.as_ref().ok_or("trace-diff needs two file paths")?;
-    let (a_meta, a_recs) = gmorph::search::persist::load_trace(a_path)?;
-    let (b_meta, b_recs) = gmorph::search::persist::load_trace(b_path)?;
+/// The search trace of one `GMORPH_TRACE` event file: its `search.iter`
+/// events by iteration, and its `search.done` event.
+type SearchEvents = (BTreeMap<usize, Event>, Event);
 
-    let mut diffs = Vec::new();
-    if a_meta.iterations != b_meta.iterations {
-        diffs.push(format!(
-            "meta.iterations: {} vs {}",
-            a_meta.iterations, b_meta.iterations
+/// A non-negative integer field of `event`.
+fn count_field(event: &Event, name: &str) -> Result<usize, String> {
+    match event.field(name) {
+        Some(&Value::Int(v)) if v >= 0 => Ok(v as usize),
+        _ => Err(format!("{} without a count field {name:?}", event.name)),
+    }
+}
+
+/// Reads the search trace of an event stream. Every line must pass the
+/// schema, the stream must hold exactly one `search.done`, and the
+/// `search.iter` numbers must run without a gap up to its `iterations`:
+/// from 1, or from `search.resumed`'s `next_iter`, because a resumed
+/// process emits only the iterations after its snapshot.
+fn read_search_events(text: &str) -> Result<SearchEvents, String> {
+    let mut first_iter = 1;
+    let mut iters = BTreeMap::new();
+    let mut done = None;
+    for (i, line) in text.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        if line.trim().is_empty() {
+            continue;
+        }
+        let event = telemetry::schema::validate_line(line).map_err(at)?;
+        if event.kind != EventKind::Point {
+            continue;
+        }
+        match event.name.as_str() {
+            "search.resumed" => first_iter = count_field(&event, "next_iter").map_err(at)?,
+            "search.iter" => {
+                let iter = count_field(&event, "iter").map_err(at)?;
+                let want = first_iter + iters.len();
+                if iter != want {
+                    return Err(at(format!(
+                        "search.iter {iter} where iteration {want} was expected"
+                    )));
+                }
+                iters.insert(iter, event);
+            }
+            "search.done" if done.is_some() => return Err(at("a second search.done".to_string())),
+            "search.done" => done = Some(event),
+            _ => {}
+        }
+    }
+    let done = done.ok_or("no search.done event")?;
+    let iterations = count_field(&done, "iterations")?;
+    let end = first_iter + iters.len();
+    if end != iterations + 1 {
+        return Err(format!(
+            "search.done counts {iterations} iterations but the search.iter events stop before {end}"
         ));
     }
-    for (name, x, y) in [
-        ("original_latency_ms", a_meta.original_latency_ms, b_meta.original_latency_ms),
-        ("best_latency_ms", a_meta.best_latency_ms, b_meta.best_latency_ms),
-        ("speedup", a_meta.speedup, b_meta.speedup),
-        ("virtual_hours", a_meta.virtual_hours, b_meta.virtual_hours),
-    ] {
-        if x.to_bits() != y.to_bits() {
-            diffs.push(format!("meta.{name}: {x} vs {y}"));
+    Ok((iters, done))
+}
+
+/// The fields in which `a` and `b` differ, except `ignore`. Values
+/// compare by their debug form: floats bit for bit, except that NaN
+/// equals NaN.
+fn field_diffs(what: &str, a: &Event, b: &Event, ignore: &[&str]) -> Vec<String> {
+    let names: BTreeSet<&String> = a.fields.iter().chain(&b.fields).map(|f| &f.0).collect();
+    let show = |v: Option<&Value>| v.map_or("(missing)".to_string(), |v| format!("{v:?}"));
+    names
+        .into_iter()
+        .filter(|name| !ignore.contains(&name.as_str()))
+        .map(|name| (name, show(a.field(name)), show(b.field(name))))
+        .filter(|(_, x, y)| x != y)
+        .map(|(name, x, y)| format!("{what}: {name} {x} vs {y}"))
+        .collect()
+}
+
+/// Every difference between two search traces: each field of each
+/// `search.iter` both hold, and each `search.done` field but
+/// `wall_seconds`, which no two runs share.
+fn diff_search_events(
+    (a_iters, a_done): &SearchEvents,
+    (b_iters, b_done): &SearchEvents,
+) -> Vec<String> {
+    let mut diffs = field_diffs("search.done", a_done, b_done, &["wall_seconds"]);
+    for (iter, x) in a_iters {
+        if let Some(y) = b_iters.get(iter) {
+            diffs.extend(field_diffs(&format!("search.iter {iter}"), x, y, &[]));
         }
     }
-    if a_recs.len() != b_recs.len() {
-        diffs.push(format!("record count: {} vs {}", a_recs.len(), b_recs.len()));
+    diffs
+}
+
+/// Compares the search traces of two `GMORPH_TRACE` event files (see
+/// [`diff_search_events`]). A resumed run's file holds only the
+/// iterations after its snapshot; `tests/checkpoint_resume.rs` checks the
+/// restored ones in process.
+fn cmd_trace_diff(cli: &Cli) -> Result<(), String> {
+    let (Some(a_path), Some(b_path)) = (&cli.target, &cli.target2) else {
+        return Err("trace-diff needs two event files".to_string());
+    };
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| read_search_events(&text))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let diffs = diff_search_events(&read(a_path)?, &read(b_path)?);
+    for d in diffs.iter().take(20) {
+        eprintln!("  {d}");
     }
-    for (i, (x, y)) in a_recs.iter().zip(&b_recs).enumerate() {
-        let mut field_diffs = Vec::new();
-        if x.iter != y.iter {
-            field_diffs.push(format!("iter {} vs {}", x.iter, y.iter));
-        }
-        if x.status != y.status {
-            field_diffs.push(format!("status {:?} vs {:?}", x.status, y.status));
-        }
-        if x.from_elite != y.from_elite {
-            field_diffs.push("from_elite".to_string());
-        }
-        if x.drop.to_bits() != y.drop.to_bits() && !(x.drop.is_nan() && y.drop.is_nan()) {
-            field_diffs.push(format!("drop {} vs {}", x.drop, y.drop));
-        }
-        if x.met_target != y.met_target {
-            field_diffs.push("met_target".to_string());
-        }
-        if x.candidate_latency_ms.to_bits() != y.candidate_latency_ms.to_bits()
-            && !(x.candidate_latency_ms.is_nan() && y.candidate_latency_ms.is_nan())
-        {
-            field_diffs.push(format!(
-                "candidate_latency_ms {} vs {}",
-                x.candidate_latency_ms, y.candidate_latency_ms
-            ));
-        }
-        if x.best_latency_ms.to_bits() != y.best_latency_ms.to_bits() {
-            field_diffs.push(format!(
-                "best_latency_ms {} vs {}",
-                x.best_latency_ms, y.best_latency_ms
-            ));
-        }
-        if x.epochs != y.epochs {
-            field_diffs.push(format!("epochs {} vs {}", x.epochs, y.epochs));
-        }
-        if x.virtual_hours.to_bits() != y.virtual_hours.to_bits() {
-            field_diffs.push(format!(
-                "virtual_hours {} vs {}",
-                x.virtual_hours, y.virtual_hours
-            ));
-        }
-        // wall_seconds deliberately ignored.
-        if !field_diffs.is_empty() {
-            diffs.push(format!("record {i}: {}", field_diffs.join(", ")));
-        }
+    if !diffs.is_empty() {
+        let n = diffs.len();
+        return Err(format!("the search traces differ in {n} place(s)"));
     }
-    if diffs.is_empty() {
-        say!(
-            cli,
-            "{} and {} are identical ({} records; wall-clock ignored)",
-            a_path.display(),
-            b_path.display(),
-            a_recs.len()
-        );
-        Ok(())
-    } else {
-        for d in diffs.iter().take(20) {
-            eprintln!("  {d}");
-        }
-        Err(format!(
-            "traces differ in {} place(s): {} vs {}",
-            diffs.len(),
-            a_path.display(),
-            b_path.display()
-        ))
-    }
+    say!(cli, "the search traces match (wall-clock ignored)");
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -500,5 +509,187 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(name: &str, fields: Vec<(&str, Value)>) -> String {
+        Event {
+            ts_us: 0,
+            kind: EventKind::Point,
+            name: name.to_string(),
+            span: 0,
+            parent: 0,
+            thread: 1,
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        }
+        .to_json()
+    }
+
+    /// A `search.iter` line shaped like the driver's, with one field
+    /// replaced when `edit` is given.
+    fn iter_line(iter: usize, edit: Option<(&str, Value)>) -> String {
+        let mut fields: Vec<(&str, Value)> = vec![
+            ("iter", iter.into()),
+            ("status", "evaluated".into()),
+            ("reason", "accepted_elite".into()),
+            ("from_elite", (iter > 3).into()),
+            ("drop", Value::Float(f64::NAN)),
+            ("met_target", true.into()),
+            ("candidate_latency_ms", Value::Float(f64::NAN)),
+            ("best_latency_ms", (10.0 - iter as f64 / 4.0).into()),
+            ("epochs", 3usize.into()),
+            ("virtual_hours", (iter as f64 * 0.25).into()),
+            ("temperature", (1.0 / iter as f64).into()),
+            ("cand_nodes", 12i64.into()),
+            ("rescales", 1i64.into()),
+        ];
+        if let Some((name, value)) = edit {
+            fields.iter_mut().find(|(k, _)| *k == name).unwrap().1 = value;
+        }
+        line("search.iter", fields)
+    }
+
+    fn done_line(iterations: usize, wall_seconds: f64) -> String {
+        line(
+            "search.done",
+            vec![
+                ("iterations", iterations.into()),
+                ("evaluated", iterations.into()),
+                ("failed", 0usize.into()),
+                ("best_latency_ms", 8.5.into()),
+                ("speedup", 1.2.into()),
+                ("virtual_hours", 1.5.into()),
+                ("wall_seconds", wall_seconds.into()),
+            ],
+        )
+    }
+
+    /// The event lines of a search of `iterations` iterations whose
+    /// process started at iteration `first` (resumed when above 1).
+    fn stream(first: usize, iterations: usize, wall_seconds: f64) -> Vec<String> {
+        let mut lines = vec![line("session.ready", vec![("teachers", 3usize.into())])];
+        if first > 1 {
+            lines.push(line("search.resumed", vec![("next_iter", first.into())]));
+        }
+        lines.extend((first..=iterations).map(|i| iter_line(i, None)));
+        lines.push(done_line(iterations, wall_seconds));
+        lines
+    }
+
+    fn diff(a: &[String], b: &[String]) -> Result<Vec<String>, String> {
+        let a = read_search_events(&a.join("\n"))?;
+        let b = read_search_events(&b.join("\n"))?;
+        Ok(diff_search_events(&a, &b))
+    }
+
+    #[test]
+    fn identical_streams_match_except_wall_clock() {
+        assert_eq!(diff(&stream(1, 6, 0.5), &stream(1, 6, 0.9)), Ok(vec![]));
+    }
+
+    #[test]
+    fn a_resumed_stream_matches_the_full_one() {
+        let (full, resumed) = (stream(1, 6, 0.5), stream(4, 6, 0.2));
+        assert_eq!(diff(&full, &resumed), Ok(vec![]));
+        assert_eq!(diff(&resumed, &full), Ok(vec![]));
+        // Iteration 2 differs, but the resumed stream does not hold it.
+        let mut edited = full.clone();
+        edited[2] = iter_line(2, Some(("epochs", 4usize.into())));
+        assert_eq!(diff(&edited, &resumed), Ok(vec![]));
+    }
+
+    #[test]
+    fn a_changed_field_names_its_iteration() {
+        let full = stream(1, 6, 0.5);
+        let mut edited = full.clone();
+        edited[3] = iter_line(3, Some(("temperature", 0.5.into())));
+        let diffs = diff(&full, &edited).unwrap();
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(
+            diffs[0].starts_with("search.iter 3: temperature "),
+            "{diffs:?}"
+        );
+
+        edited = stream(4, 6, 0.5);
+        edited[3] = iter_line(5, Some(("best_latency_ms", 7.0.into())));
+        let diffs = diff(&full, &edited).unwrap();
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(
+            diffs[0].starts_with("search.iter 5: best_latency_ms "),
+            "{diffs:?}"
+        );
+
+        // A field one side lacks is a difference too.
+        edited = full.clone();
+        edited.pop();
+        edited.push(line("search.done", vec![("iterations", 6usize.into())]));
+        let diffs = diff(&full, &edited).unwrap();
+        assert!(
+            diffs.iter().all(|d| d.starts_with("search.done: ")),
+            "{diffs:?}"
+        );
+        assert!(diffs
+            .iter()
+            .any(|d| d.contains("speedup") && d.ends_with("(missing)")));
+        assert!(!diffs.iter().any(|d| d.contains("wall_seconds")));
+    }
+
+    #[test]
+    fn an_iteration_gap_without_a_resume_fails() {
+        let mut gapped = stream(1, 6, 0.5);
+        gapped.remove(4);
+        let err = diff(&gapped, &stream(1, 6, 0.5)).unwrap_err();
+        assert!(err.contains("search.iter 5 where iteration 4"), "{err}");
+
+        let mut headless = stream(4, 6, 0.5);
+        headless.remove(1);
+        let err = diff(&stream(1, 6, 0.5), &headless).unwrap_err();
+        assert!(err.contains("search.iter 4 where iteration 1"), "{err}");
+
+        let mut short = stream(1, 6, 0.5);
+        short.remove(6);
+        let err = diff(&short, &stream(1, 6, 0.5)).unwrap_err();
+        assert!(err.contains("stop before 6"), "{err}");
+    }
+
+    #[test]
+    fn a_stream_needs_exactly_one_search_done() {
+        let mut none = stream(1, 3, 0.5);
+        none.pop();
+        assert_eq!(diff(&none, &none).unwrap_err(), "no search.done event");
+        let mut two = stream(1, 3, 0.5);
+        two.push(done_line(3, 0.5));
+        let err = diff(&two, &stream(1, 3, 0.5)).unwrap_err();
+        assert!(err.starts_with("line 6: a second search.done"), "{err}");
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_with_their_line_number() {
+        let good = stream(1, 3, 0.5);
+        let bad_iter = line("search.iter", vec![("iter", "two".into())]);
+        let bad_resume = line("search.resumed", vec![("next_iter", (-3i64).into())]);
+        for (at, bad) in [
+            (2, "{\"ts_us\":0,\"kind\":".to_string()),
+            (3, "[1, 2]".to_string()),
+            (2, good[1].replace("\"thread\":1", "\"thread\":0")),
+            (2, good[1].replace("\"name\"", "\"nom\"")),
+            (2, bad_resume),
+        ] {
+            let mut lines = good.clone();
+            lines[at - 1] = bad;
+            let err = diff(&lines, &good).unwrap_err();
+            assert!(err.starts_with(&format!("line {at}: ")), "{err}");
+        }
+        let mut lines = good.clone();
+        lines[2] = bad_iter;
+        let err = diff(&lines, &good).unwrap_err();
+        assert!(err.contains("without a count field \"iter\""), "{err}");
     }
 }

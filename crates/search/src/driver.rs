@@ -123,7 +123,7 @@ pub enum CandidateStatus {
 }
 
 impl CandidateStatus {
-    /// Stable wire name used in telemetry events and persisted traces.
+    /// Stable wire name used in telemetry events and search snapshots.
     pub fn as_str(&self) -> &'static str {
         match self {
             CandidateStatus::Evaluated => "evaluated",

@@ -14,8 +14,6 @@
 //! - [`supervisor`]: resilient candidate evaluation — catch-unwind
 //!   containment, deadlines, retry with LR backoff and reseeded init, and
 //!   failure classification feeding quarantine (DESIGN.md §13),
-//! - [`persist`]: JSONL persistence of search traces (the Figure 8 run
-//!   artifacts),
 //! - [`checkpoint`]: crash-safe checkpoint/resume — versioned, checksummed
 //!   snapshots of the full search state, written atomically on a
 //!   durability schedule, restoring bit-identical runs (DESIGN.md §12).
@@ -24,7 +22,6 @@ pub mod checkpoint;
 pub mod driver;
 pub mod evaluator;
 pub mod history;
-pub mod persist;
 pub mod policy;
 pub mod supervisor;
 
@@ -32,7 +29,6 @@ pub use checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
 pub use driver::{
     run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord,
 };
-pub use persist::{load_trace, save_trace, TraceMeta};
 pub use evaluator::{EvalMode, RealContext, SurrogateContext};
 pub use supervisor::{FailureReport, SupervisorConfig};
 pub use history::{Elite, History};

@@ -71,11 +71,6 @@ impl Json {
         }
     }
 
-    /// True for `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Parses one JSON document, rejecting trailing garbage.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {

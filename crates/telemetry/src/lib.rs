@@ -70,15 +70,16 @@ pub fn install(sink: Arc<dyn Sink>) {
 }
 
 /// Flushes aggregated metrics into the sink as summary events, flushes
-/// the sink, and disables collection. Idempotent; a no-op when disabled.
+/// the sink, and disables collection. A sink write error is printed to
+/// stderr. Idempotent; a no-op when disabled.
 pub fn shutdown() {
     if enabled() {
         metrics::flush_to_sink();
     }
     ENABLED.store(false, Ordering::SeqCst);
     let sink = SINK.lock().unwrap_or_else(|p| p.into_inner()).take();
-    if let Some(sink) = sink {
-        sink.flush();
+    if let Some(Err(e)) = sink.map(|sink| sink.flush()) {
+        eprintln!("gmorph-telemetry: {e}");
     }
 }
 

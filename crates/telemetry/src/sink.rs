@@ -23,13 +23,18 @@ pub trait Sink: Send + Sync {
     /// Records one event. Called from any thread.
     fn record(&self, event: &Event);
     /// Flushes buffered events to durable storage.
-    fn flush(&self) {}
+    fn flush(&self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
-/// Appends events as JSON lines to a file.
+/// Appends events as JSON lines to a file. The first write or flush
+/// error is kept: later events are dropped and every [`Sink::flush`]
+/// reports it, so a truncated trace never goes unnoticed.
 pub struct JsonlSink {
     path: PathBuf,
-    writer: Mutex<BufWriter<std::fs::File>>,
+    /// The file, and the outcome of every write to it so far.
+    writer: Mutex<(BufWriter<std::fs::File>, std::io::Result<()>)>,
 }
 
 impl JsonlSink {
@@ -45,7 +50,7 @@ impl JsonlSink {
         let file = std::fs::File::create(&path)?;
         Ok(JsonlSink {
             path,
-            writer: Mutex::new(BufWriter::new(file)),
+            writer: Mutex::new((BufWriter::new(file), Ok(()))),
         })
     }
 
@@ -62,16 +67,26 @@ impl Sink for JsonlSink {
             .writer
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
+        let (out, status) = &mut *w;
+        if status.is_ok() {
+            *status = out
+                .write_all(line.as_bytes())
+                .and_then(|()| out.write_all(b"\n"));
+        }
     }
 
-    fn flush(&self) {
+    fn flush(&self) -> std::io::Result<()> {
         let mut w = self
             .writer
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let _ = w.flush();
+        let (out, status) = &mut *w;
+        if status.is_ok() {
+            *status = out.flush();
+        }
+        status.as_ref().copied().map_err(|e| {
+            std::io::Error::new(e.kind(), format!("writing {}: {e}", self.path.display()))
+        })
     }
 }
 
@@ -200,12 +215,31 @@ mod tests {
             fields: vec![("v".to_string(), Value::Int(9))],
         };
         sink.record(&e);
-        sink.flush();
+        sink.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1);
         assert_eq!(Event::from_json(lines[0]).unwrap(), e);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn write_errors_surface_at_flush() {
+        let sink = JsonlSink::create("/dev/full").unwrap();
+        sink.record(&Event {
+            ts_us: 1,
+            kind: EventKind::Point,
+            name: "t.full".to_string(),
+            span: 0,
+            parent: 0,
+            thread: 1,
+            fields: Vec::new(),
+        });
+        let err = sink.flush().unwrap_err();
+        assert!(err.to_string().starts_with("writing /dev/full: "), "{err}");
+        // The first error is kept, not cleared by reporting it.
+        assert!(sink.flush().is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! schema, and disabled telemetry must stay completely silent.
 
 use gmorph::prelude::*;
-use gmorph::search::persist::{load_trace, save_trace, TraceMeta};
 use gmorph::telemetry::sink::{install_test_sink, test_lock};
 use gmorph::telemetry::{self, Event, EventKind, Value};
 use gmorph::zoo::{build, BenchId, DataProfile};
@@ -151,9 +150,6 @@ fn jsonl_trace_validates_and_artifact_round_trips() {
         ..Default::default()
     };
     let r = session.optimize(&opt).unwrap();
-
-    let artifact = trace_path.with_extension("trace.jsonl");
-    save_trace(&artifact, &r).unwrap();
     telemetry::shutdown();
 
     // The event stream validates against the documented schema and
@@ -164,10 +160,42 @@ fn jsonl_trace_validates_and_artifact_round_trips() {
     assert!(stats.by_kind.contains_key("counter"), "metrics flushed");
     assert!(stats.by_kind.contains_key("span_end"));
 
-    // The search-trace artifact round-trips into the same summary.
-    let (meta, records) = load_trace(&artifact).unwrap();
-    assert_eq!(meta, TraceMeta::of(&r));
-    assert_eq!(records.len(), r.trace.len());
+    // The written stream is the search trace: one `search.iter` per
+    // trace record and a `search.done` holding the result's summary.
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let events: Vec<Event> = text.lines().map(|l| Event::from_json(l).unwrap()).collect();
+    let named = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::Point && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(named("search.iter").len(), r.trace.len());
+    let done = named("search.done");
+    assert_eq!(done.len(), 1);
+    let counts = [
+        ("iterations", r.trace.len()),
+        ("evaluated", r.evaluated),
+        ("rule_filtered", r.rule_filtered),
+        ("early_terminated", r.early_terminated),
+        ("duplicates", r.duplicates),
+        ("failed", r.failed),
+        ("quarantined", r.quarantined),
+    ];
+    for (name, want) in counts {
+        let want = Value::Int(want as i64);
+        assert_eq!(done[0].field(name), Some(&want), "{name}");
+    }
+    let floats = [
+        ("original_latency_ms", r.original_latency_ms),
+        ("best_latency_ms", r.best.latency_ms),
+        ("speedup", r.speedup),
+        ("virtual_hours", r.virtual_hours),
+        ("wall_seconds", r.wall_seconds),
+    ];
+    for (name, want) in floats {
+        assert_eq!(done[0].field(name), Some(&Value::Float(want)), "{name}");
+    }
 
     telemetry::metrics::reset();
     std::fs::remove_dir_all(&dir).ok();
