@@ -8,12 +8,15 @@
 //!   kernels alloc all
 //!
 //! `kernels` times the blocked/threaded GEMM and conv kernels against the
-//! naive single-threaded loops and writes `BENCH_kernels.json`
-//! (`{op, shape, threads, ns_per_iter}` records) to the output directory.
+//! naive single-threaded loops, plus attention and bilinear resize, and
+//! writes `BENCH_kernels.json` to the output directory.
 //!
 //! `alloc` times the hot paths with the tensor buffer pool off vs on and
-//! with activations fused into kernel epilogues vs separate passes, and
-//! writes `BENCH_alloc.json` (records plus before/after speedups).
+//! with activations fused into kernel epilogues vs separate passes, prints
+//! the speedups, and writes `BENCH_alloc.json`.
+//!
+//! Both files hold `nproc`, `threads`, `pool`, `simd` and `records`, each
+//! record `{op, config, shape, threads, ns_min, ns_median, samples}`.
 //!
 //! options:
 //!   --seed <u64>          experiment seed        (default 1)

@@ -4,40 +4,38 @@
 //! enabled (checkout/checkin of im2col scratch, GEMM packing buffers, and
 //! layer outputs), and the eval forward with activations fused into the
 //! kernel epilogue versus run as separate passes. Emits `BENCH_alloc.json`
-//! in the output directory:
-//!
-//! ```json
-//! {
-//!   "records": [{"op", "config", "ns_per_iter"}, ...],
-//!   "speedups": {"conv_forward": x, "finetune_step": y, "fused_eval": z}
-//! }
-//! ```
-//!
-//! so CI can track the before/after numbers without parsing criterion
-//! output.
+//! in the output directory, with the head and record schema of
+//! `BENCH_kernels.json` (see [`crate::experiments::kernels`]); each pair
+//! of records is one op under `config` `pool_off`/`pool_on` or
+//! `unfused`/`fused`. The speedups (off/on and unfused/fused over
+//! `ns_min`) are printed, and follow from the records.
 
-use crate::common::{time_ns, write_bench_json, BenchRecord};
+use crate::common::{time_ns, write_bench_json, BenchRecord, Timing};
 use crate::ExperimentOpts;
 use gmorph::nn::{Block, Mode};
 use gmorph::tensor::conv::{conv2d_forward, Conv2dGeom};
 use gmorph::tensor::ops::{relu_forward, Activation};
 use gmorph::tensor::rng::Rng;
-use gmorph::tensor::{buffer, gemm, Tensor};
+use gmorph::tensor::{buffer, engine, gemm, Tensor};
 use std::hint::black_box;
 
-fn record(op: &str, config: &'static str, ns_per_iter: f64) -> BenchRecord {
-    BenchRecord {
-        op: op.to_string(),
-        config: Some(config),
-        shape: None,
-        threads: None,
-        ns_per_iter,
-    }
+/// Records `slow` and `fast`, one op under two configs, and returns the
+/// speedup of `fast` over `slow` (ratio of `ns_min`).
+fn record_pair(
+    records: &mut Vec<BenchRecord>,
+    op: &str,
+    shape: &str,
+    [(slow_config, slow), (fast_config, fast)]: [(&'static str, Timing); 2],
+) -> f64 {
+    let threads = engine::num_threads();
+    records.push(BenchRecord::new(op, slow_config, shape, threads, slow));
+    records.push(BenchRecord::new(op, fast_config, shape, threads, fast));
+    slow.ns_min / fast.ns_min
 }
 
 /// Runs `f` once with the pool off and once with it on (cleared first so
 /// the "on" run starts cold and warms during the warmup iterations).
-fn with_pool_off_on(mut f: impl FnMut() -> f64) -> (f64, f64) {
+fn with_pool_off_on(mut f: impl FnMut() -> Timing) -> [(&'static str, Timing); 2] {
     buffer::set_enabled(Some(false));
     buffer::clear();
     let off = f();
@@ -46,7 +44,7 @@ fn with_pool_off_on(mut f: impl FnMut() -> f64) -> (f64, f64) {
     let on = f();
     buffer::set_enabled(None);
     buffer::clear();
-    (off, on)
+    [("pool_off", off), ("pool_on", on)]
 }
 
 /// Conv forward with a large im2col footprint: without the pool every call
@@ -59,14 +57,12 @@ fn conv_forward_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -
     let geom = Conv2dGeom::new(3, 1, 1).unwrap();
     let (iters, samples) = if opts.quick { (3, 3) } else { (10, 5) };
 
-    let (off, on) = with_pool_off_on(|| {
+    let timings = with_pool_off_on(|| {
         time_ns(iters, samples, || {
             black_box(conv2d_forward(black_box(&x), black_box(&w), Some(&b), geom).unwrap());
         })
     });
-    records.push(record("conv_forward", "pool_off", off));
-    records.push(record("conv_forward", "pool_on", on));
-    off / on
+    record_pair(records, "conv_forward", "n8c32-8s32k3", timings)
 }
 
 /// One fine-tuning step (train forward + backward) of a small conv stack:
@@ -79,7 +75,7 @@ fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) 
     let x = Tensor::randn(&[4, 16, 24, 24], 1.0, &mut rng);
     let (iters, samples) = if opts.quick { (2, 3) } else { (6, 10) };
 
-    let (off, on) = with_pool_off_on(|| {
+    let timings = with_pool_off_on(|| {
         time_ns(iters, samples, || {
             let h = b1.forward(&x, Mode::Train).unwrap();
             let y = b2.forward(&h, Mode::Train).unwrap();
@@ -87,9 +83,7 @@ fn finetune_step_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) 
             black_box(b1.backward(&g).unwrap());
         })
     });
-    records.push(record("finetune_step", "pool_off", off));
-    records.push(record("finetune_step", "pool_on", on));
-    off / on
+    record_pair(records, "finetune_step", "n4c16-32-32s24k3", timings)
 }
 
 /// `Linear→bias→ReLU` as three separate passes versus one fused-epilogue
@@ -106,12 +100,12 @@ fn fused_eval_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -> 
 
     buffer::set_enabled(Some(true));
     buffer::clear();
-    let unfused_ns = time_ns(iters, samples, || {
+    let unfused = time_ns(iters, samples, || {
         let mut y = gemm::matmul_nt(black_box(&a), black_box(&w)).unwrap();
         gemm::add_bias_rows(&mut y, &bias).unwrap();
         black_box(relu_forward(&y));
     });
-    let fused_ns = time_ns(iters, samples, || {
+    let fused = time_ns(iters, samples, || {
         black_box(
             gemm::matmul_nt_bias_act(black_box(&a), black_box(&w), Some(&bias), Activation::Relu)
                 .unwrap(),
@@ -120,9 +114,8 @@ fn fused_eval_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) -> 
     buffer::set_enabled(None);
     buffer::clear();
 
-    records.push(record("linear_relu", "unfused", unfused_ns));
-    records.push(record("linear_relu", "fused", fused_ns));
-    unfused_ns / fused_ns
+    let timings = [("unfused", unfused), ("fused", fused)];
+    record_pair(records, "linear_relu", "512x16x512", timings)
 }
 
 /// Runs the allocation benchmarks and writes `BENCH_alloc.json`.
@@ -136,23 +129,14 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "speedups: conv_forward {conv_speedup:.2}x, finetune_step {step_speedup:.2}x, \
          fused_eval {fused_speedup:.2}x"
     );
-    let speedups = format!(
-        "{{\"conv_forward\": {conv_speedup:.3}, \"finetune_step\": {step_speedup:.3}, \
-         \"fused_eval\": {fused_speedup:.3}}}"
-    );
-    write_bench_json(
-        &opts.out_dir,
-        "BENCH_alloc.json",
-        &[],
-        &records,
-        &[("speedups", speedups)],
-    );
+    write_bench_json(&opts.out_dir, "BENCH_alloc.json", &records);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::read_bench_json;
 
     #[test]
     fn writes_machine_readable_json() {
@@ -163,13 +147,22 @@ mod tests {
             ..Default::default()
         };
         run(&opts).unwrap();
-        let text = std::fs::read_to_string(dir.join("BENCH_alloc.json")).unwrap();
-        assert!(text.trim_start().starts_with('{'));
-        assert!(text.contains("\"op\": \"conv_forward\""));
-        assert!(text.contains("\"config\": \"pool_on\""));
-        assert!(text.contains("\"op\": \"finetune_step\""));
-        assert!(text.contains("\"config\": \"fused\""));
-        assert!(text.contains("\"speedups\""));
+        let records = read_bench_json(&dir.join("BENCH_alloc.json"));
+        let pairs: Vec<(&str, &str)> = records
+            .iter()
+            .map(|(op, config)| (op.as_str(), config.as_str()))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                ("conv_forward", "pool_off"),
+                ("conv_forward", "pool_on"),
+                ("finetune_step", "pool_off"),
+                ("finetune_step", "pool_on"),
+                ("linear_relu", "unfused"),
+                ("linear_relu", "fused"),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,29 +1,40 @@
 //! Kernel-engine microbenchmark: blocked/threaded GEMM against the seed's
-//! single-threaded naive loops, and the convolution forward and backward
-//! passes of one B1 VGG-13 tower, written as machine-readable JSON.
+//! single-threaded naive loops, the transposed GEMM variants, the
+//! convolution forward and backward passes of one B1 VGG-13 tower,
+//! eval-mode attention and bilinear resize, written as machine-readable
+//! JSON.
 //!
 //! Emits `BENCH_kernels.json` in the output directory:
 //!
 //! ```json
 //! {
-//!   "nproc": 2, "threads": 2, "pool": true, "simd": "avx2",
-//!   "records": [{"op", "shape", "threads", "ns_per_iter"}, ...]
+//!   "nproc": 2, "pool": true, "simd": "avx2", "threads": 2,
+//!   "records": [{"op", "config", "shape", "threads",
+//!                "ns_min", "ns_median", "samples"}, ...]
 //! }
 //! ```
 //!
 //! `nproc` is the machine's available parallelism, `threads` the engine's
 //! configured thread count, `pool` whether the buffer pool is on and `simd`
 //! which instance of the kernel bodies runs (`"avx2"` or `"portable"`, see
-//! `gmorph_tensor::simd`); each record carries the thread cap it ran
-//! under. Conv records time `conv_fwd` (`conv2d_forward`) and `conv_bwd`
-//! (`conv2d_backward_geom`) on each of the tower's eight layers at the
-//! fine-tuning batch of 64, plus `conv_tower_fwd_bwd`, their sum.
+//! `gmorph_tensor::simd`). Each record carries the pool state (`config`:
+//! `pool_on`/`pool_off`) and the thread cap it ran under. GEMM records time
+//! `gemm_naive` and `gemm_blocked` at 1 and N threads, and `gemm_nt` and
+//! `gemm_tn` at the engine's thread count. Conv records time `conv_fwd`
+//! (`conv2d_forward`) and `conv_bwd` (`conv2d_backward_geom`) on each of
+//! the tower's eight layers at the fine-tuning batch of 64, plus
+//! `conv_tower_fwd_bwd`, their sum. `attention_eval` is a 4-head
+//! `MultiHeadAttention` forward (d = 32) and `resize_bilinear` an 8×8 →
+//! 16×16 upsampling.
 
-use crate::common::{time_ns, write_bench_json, BenchRecord};
+use crate::common::{time_ns, write_bench_json, BenchRecord, Timing};
 use crate::ExperimentOpts;
+use gmorph::nn::layers::MultiHeadAttention;
+use gmorph::nn::Mode;
 use gmorph::tensor::conv::{conv2d_backward_geom, conv2d_forward, Conv2dGeom};
+use gmorph::tensor::interp::{resize2d_forward, InterpMode};
 use gmorph::tensor::rng::Rng;
-use gmorph::tensor::{buffer, engine, gemm, simd, Tensor};
+use gmorph::tensor::{buffer, engine, gemm, Tensor};
 use std::hint::black_box;
 
 /// The eight 3×3/s1/p1 convolutions of B1's mini-scale VGG-13 tower
@@ -43,14 +54,14 @@ const VGG13_B1: [(usize, usize, usize); 8] = [
 /// Fine-tuning batch size of B1 (§6.1).
 const BATCH: usize = 64;
 
-fn record(op: &str, shape: String, threads: usize, ns_per_iter: f64) -> BenchRecord {
-    BenchRecord {
-        op: op.to_string(),
-        config: None,
-        shape: Some(shape),
-        threads: Some(threads),
-        ns_per_iter,
-    }
+/// A record whose `config` is the buffer-pool state it ran under.
+fn record(op: &str, shape: &str, threads: usize, timing: Timing) -> BenchRecord {
+    let config = if buffer::enabled() {
+        "pool_on"
+    } else {
+        "pool_off"
+    };
+    BenchRecord::new(op, config, shape, threads, timing)
 }
 
 fn gemm_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
@@ -61,18 +72,27 @@ fn gemm_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     let shape = format!("{dim}x{dim}x{dim}");
     let (iters, samples) = if opts.quick { (2, 3) } else { (4, 5) };
 
-    let naive_ns = time_ns(iters, samples, || {
+    let naive = time_ns(iters, samples, || {
         black_box(gemm::naive::matmul(black_box(&a), black_box(&b)).unwrap());
     });
-    records.push(record("gemm_naive", shape.clone(), 1, naive_ns));
+    records.push(record("gemm_naive", &shape, 1, naive));
     for threads in [1usize, engine::num_threads().max(2)] {
         engine::with_thread_limit(threads, || {
-            let ns = time_ns(iters, samples, || {
+            let t = time_ns(iters, samples, || {
                 black_box(gemm::matmul(black_box(&a), black_box(&b)).unwrap());
             });
-            records.push(record("gemm_blocked", shape.clone(), threads, ns));
+            records.push(record("gemm_blocked", &shape, threads, t));
         });
     }
+    let nt = time_ns(iters, samples, || {
+        black_box(gemm::matmul_nt(black_box(&a), black_box(&b)).unwrap());
+    });
+    let tn = time_ns(iters, samples, || {
+        black_box(gemm::matmul_tn(black_box(&a), black_box(&b)).unwrap());
+    });
+    let threads = engine::num_threads();
+    records.push(record("gemm_nt", &shape, threads, nt));
+    records.push(record("gemm_tn", &shape, threads, tn));
 }
 
 fn conv_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
@@ -91,29 +111,56 @@ fn conv_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
         .collect();
     for threads in [1usize, engine::num_threads().max(2)] {
         engine::with_thread_limit(threads, || {
-            let mut tower = 0.0;
+            let mut tower = Timing {
+                ns_min: 0.0,
+                ns_median: 0.0,
+                samples,
+            };
             for (shape, x, w, b, go) in &layers {
                 // Training steady state: the columns and outputs go back to
                 // the pool, as the nn layers recycle them.
-                let fwd_ns = time_ns(iters, samples, || {
+                let fwd_t = time_ns(iters, samples, || {
                     let f = conv2d_forward(black_box(x), black_box(w), Some(b), geom).unwrap();
                     buffer::recycle(f.output);
                     buffer::recycle(f.cols);
                 });
                 let fwd = conv2d_forward(x, w, Some(b), geom).unwrap();
-                let bwd_ns = time_ns(iters, samples, || {
+                let bwd_t = time_ns(iters, samples, || {
                     let g = conv2d_backward_geom(black_box(go), w, x.dims(), &fwd, geom).unwrap();
                     buffer::recycle(g.grad_input);
                 });
-                tower += fwd_ns + bwd_ns;
-                for (op, ns) in [("conv_fwd", fwd_ns), ("conv_bwd", bwd_ns)] {
-                    records.push(record(op, shape.clone(), threads, ns));
+                for t in [fwd_t, bwd_t] {
+                    tower.ns_min += t.ns_min;
+                    tower.ns_median += t.ns_median;
                 }
+                records.push(record("conv_fwd", shape, threads, fwd_t));
+                records.push(record("conv_bwd", shape, threads, bwd_t));
             }
             let shape = format!("vgg13-b1-n{BATCH}");
-            records.push(record("conv_tower_fwd_bwd", shape, threads, tower));
+            records.push(record("conv_tower_fwd_bwd", &shape, threads, tower));
         });
     }
+}
+
+/// Eval-mode multi-head attention (d = 32, 4 heads) on `[4, 16, 32]` and
+/// bilinear resize of `[8, 16, 8, 8]` to 16×16, at the engine's thread
+/// count.
+fn attention_resize_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
+    let mut rng = Rng::new(opts.seed ^ 2);
+    let mut attn = MultiHeadAttention::new(32, 4, &mut rng).unwrap();
+    let x = Tensor::randn(&[4, 16, 32], 1.0, &mut rng);
+    let img = Tensor::randn(&[8, 16, 8, 8], 1.0, &mut rng);
+    let (iters, samples) = if opts.quick { (5, 3) } else { (50, 7) };
+    let threads = engine::num_threads();
+
+    let attention = time_ns(iters, samples, || {
+        black_box(attn.forward(black_box(&x), Mode::Eval).unwrap());
+    });
+    records.push(record("attention_eval", "4x16x32h4", threads, attention));
+    let resize = time_ns(iters, samples, || {
+        black_box(resize2d_forward(black_box(&img), 16, 16, InterpMode::Bilinear).unwrap());
+    });
+    records.push(record("resize_bilinear", "8x16x8x8-16x16", threads, resize));
 }
 
 /// Runs the kernel microbenchmarks and writes `BENCH_kernels.json`.
@@ -121,23 +168,15 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     let mut records = Vec::new();
     gemm_records(opts, &mut records);
     conv_records(opts, &mut records);
-
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let (threads, pool, simd) = (engine::num_threads(), buffer::enabled(), simd::instance());
-    println!("nproc {nproc}, threads {threads}, pool {pool}, simd {simd}");
-    let head = [
-        ("nproc", nproc.to_string()),
-        ("threads", threads.to_string()),
-        ("pool", pool.to_string()),
-        ("simd", format!("\"{simd}\"")),
-    ];
-    write_bench_json(&opts.out_dir, "BENCH_kernels.json", &head, &records, &[]);
+    attention_resize_records(opts, &mut records);
+    write_bench_json(&opts.out_dir, "BENCH_kernels.json", &records);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::read_bench_json;
 
     #[test]
     fn writes_machine_readable_json() {
@@ -148,17 +187,23 @@ mod tests {
             ..Default::default()
         };
         run(&opts).unwrap();
-        let text = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
-        assert!(text.trim_start().starts_with('{'));
-        assert!(text.contains("\"nproc\": "));
-        assert!(text.contains("\"pool\": "));
-        assert!(text.contains("\"simd\": \"avx2\"") || text.contains("\"simd\": \"portable\""));
-        assert!(text.contains("\"op\": \"gemm_blocked\""));
-        assert!(text.contains("\"op\": \"gemm_naive\""));
-        assert!(text.contains("\"op\": \"conv_fwd\""));
-        assert!(text.contains("\"op\": \"conv_bwd\""));
-        assert!(text.contains("\"op\": \"conv_tower_fwd_bwd\""));
-        assert!(text.contains("\"ns_per_iter\""));
+        let records = read_bench_json(&dir.join("BENCH_kernels.json"));
+        for op in [
+            "gemm_naive",
+            "gemm_blocked",
+            "gemm_nt",
+            "gemm_tn",
+            "conv_fwd",
+            "conv_bwd",
+            "conv_tower_fwd_bwd",
+            "attention_eval",
+            "resize_bilinear",
+        ] {
+            assert!(records.iter().any(|(o, _)| o == op), "no {op} record");
+        }
+        assert!(records
+            .iter()
+            .all(|(_, config)| config == "pool_on" || config == "pool_off"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

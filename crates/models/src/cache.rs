@@ -2,12 +2,14 @@
 //!
 //! Teachers are expensive to train relative to the experiments that consume
 //! them, so trained weights (plus the teacher's test score) are persisted
-//! under a cache directory keyed by architecture fingerprint and seed. The
-//! paper's artifact ships pre-trained `.model` files for the same reason.
+//! under a cache directory keyed by architecture, session seed, training
+//! data and training config. The paper's artifact ships pre-trained
+//! `.model` files for the same reason.
 
 use crate::model::{ModelSpec, SingleTaskModel};
 use crate::train::{train_teacher, TrainConfig, TrainReport};
 use gmorph_data::dataset::Split;
+use gmorph_tensor::checkpoint::{fnv1a, FNV_OFFSET};
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::serialize::{load_state_dict, save_state_dict};
 use gmorph_tensor::{Result, Tensor};
@@ -49,16 +51,19 @@ fn data_fingerprint(split: &Split) -> u64 {
     h.finish()
 }
 
-fn cache_path(spec: &ModelSpec, split: &Split, seed: u64) -> PathBuf {
+/// Two runs that train the same teacher with different epochs, batch,
+/// learning rate or shuffle seed get different entries.
+fn cache_path(spec: &ModelSpec, split: &Split, cfg: &TrainConfig, seed: u64) -> PathBuf {
     let sane: String = spec
         .name
         .chars()
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect();
     cache_dir().join(format!(
-        "{sane}-{seed}-{:016x}-{:016x}.gmrh",
+        "{sane}-{seed}-{:016x}-{:016x}-{:016x}.gmrh",
         fingerprint(spec),
-        data_fingerprint(split)
+        data_fingerprint(split),
+        fnv1a(format!("{cfg:?}").as_bytes(), FNV_OFFSET)
     ))
 }
 
@@ -72,7 +77,7 @@ pub fn load_or_train(
     cfg: &TrainConfig,
     seed: u64,
 ) -> Result<(SingleTaskModel, f32)> {
-    let path = cache_path(spec, split, seed);
+    let path = cache_path(spec, split, cfg, seed);
     let mut rng = Rng::new(seed ^ fingerprint(spec));
     let mut model = spec.build(&mut rng)?;
     if let Ok(entries) = load_state_dict(&path) {
@@ -137,6 +142,11 @@ mod tests {
         let (m2, s2) = load_or_train(&spec, &split, 0, &tc, 9).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(m1.state_dict(), m2.state_dict());
+        // A config that differs only in the shuffle seed must not be served
+        // the cached teacher.
+        let reshuffled = TrainConfig { seed: 1, ..tc };
+        let (m3, _) = load_or_train(&spec, &split, 0, &reshuffled, 9).unwrap();
+        assert_ne!(m1.state_dict(), m3.state_dict());
         std::env::remove_var("GMORPH_CACHE_DIR");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -69,14 +69,6 @@ impl CapacityRuleFilter {
         &self.failures
     }
 
-    /// Rebuilds a filter from checkpointed failures, preserving order.
-    pub fn from_failures(failures: Vec<CapacityVector>) -> Self {
-        CapacityRuleFilter {
-            failures,
-            quarantined: Vec::new(),
-        }
-    }
-
     /// Rebuilds a filter from checkpointed failures and quarantine
     /// entries, preserving order (resume must replay bit-exactly).
     pub fn from_parts(

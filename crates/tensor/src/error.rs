@@ -8,9 +8,6 @@
 //!
 //! - [`FailureKind`]: the closed classification every failure maps onto
 //!   (panic, non-finite, timeout, OOM-guard, graph, io),
-//! - [`GmorphError`]: the taxonomy enum layered over [`TensorError`] —
-//!   lossless conversions both ways mean the existing `Result` plumbing in
-//!   every crate carries the classification without signature churn,
 //! - [`FaultSpec`]: `GMORPH_FAULT` fault-injection knobs (the failure-path
 //!   sibling of `GMORPH_CRASH_AFTER` in [`crate::checkpoint`]) used by the
 //!   resilience test-suite and the CI fault-smoke job.
@@ -79,127 +76,6 @@ impl FailureKind {
 impl fmt::Display for FailureKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// The workspace failure taxonomy.
-///
-/// Layered over [`TensorError`] rather than replacing it: hot paths keep
-/// returning `gmorph_tensor::Result`, and the supervisor lifts errors into
-/// this enum (via `From`) when it needs to classify them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GmorphError {
-    /// A caught panic, with the rendered payload.
-    Panic {
-        /// Operation at whose boundary the panic was caught.
-        op: &'static str,
-        /// Rendered panic payload.
-        msg: String,
-    },
-    /// A numeric-health violation (NaN/Inf loss, gradient, or weight).
-    NonFinite {
-        /// Operation that detected the violation.
-        op: &'static str,
-        /// What went non-finite and where.
-        msg: String,
-    },
-    /// A deadline violation (wall-clock or virtual-clock).
-    Timeout {
-        /// Operation that exceeded its budget.
-        op: &'static str,
-        /// Budget and observed cost.
-        msg: String,
-    },
-    /// A tensor-pool byte-budget violation.
-    OomGuard {
-        /// Operation that tripped the guard.
-        op: &'static str,
-        /// Budget and requested bytes.
-        msg: String,
-    },
-    /// Any other tensor-level error (shape, rank, bounds, io...).
-    Tensor(TensorError),
-}
-
-impl GmorphError {
-    /// Classify this error into the closed [`FailureKind`] set.
-    pub fn kind(&self) -> FailureKind {
-        match self {
-            GmorphError::Panic { .. } => FailureKind::Panic,
-            GmorphError::NonFinite { .. } => FailureKind::NonFinite,
-            GmorphError::Timeout { .. } => FailureKind::Timeout,
-            GmorphError::OomGuard { .. } => FailureKind::OomGuard,
-            GmorphError::Tensor(TensorError::Io(_)) => FailureKind::Io,
-            GmorphError::Tensor(_) => FailureKind::Graph,
-        }
-    }
-
-    /// See [`FailureKind::is_transient`].
-    pub fn is_transient(&self) -> bool {
-        self.kind().is_transient()
-    }
-}
-
-impl fmt::Display for GmorphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GmorphError::Panic { op, msg }
-            | GmorphError::NonFinite { op, msg }
-            | GmorphError::Timeout { op, msg }
-            | GmorphError::OomGuard { op, msg } => {
-                write!(f, "{op}: [{}] {msg}", self.kind())
-            }
-            GmorphError::Tensor(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for GmorphError {}
-
-impl From<TensorError> for GmorphError {
-    fn from(err: TensorError) -> Self {
-        match err {
-            TensorError::Failed { kind, op, msg } => match kind {
-                FailureKind::Panic => GmorphError::Panic { op, msg },
-                FailureKind::NonFinite => GmorphError::NonFinite { op, msg },
-                FailureKind::Timeout => GmorphError::Timeout { op, msg },
-                FailureKind::OomGuard => GmorphError::OomGuard { op, msg },
-                // Graph/Io classified failures re-wrap losslessly enough:
-                // classification is recomputed from the inner error.
-                FailureKind::Graph | FailureKind::Io => {
-                    GmorphError::Tensor(TensorError::InvalidArgument { op, msg })
-                }
-            },
-            other => GmorphError::Tensor(other),
-        }
-    }
-}
-
-impl From<GmorphError> for TensorError {
-    fn from(err: GmorphError) -> Self {
-        match err {
-            GmorphError::Panic { op, msg } => TensorError::Failed {
-                kind: FailureKind::Panic,
-                op,
-                msg,
-            },
-            GmorphError::NonFinite { op, msg } => TensorError::Failed {
-                kind: FailureKind::NonFinite,
-                op,
-                msg,
-            },
-            GmorphError::Timeout { op, msg } => TensorError::Failed {
-                kind: FailureKind::Timeout,
-                op,
-                msg,
-            },
-            GmorphError::OomGuard { op, msg } => TensorError::Failed {
-                kind: FailureKind::OomGuard,
-                op,
-                msg,
-            },
-            GmorphError::Tensor(e) => e,
-        }
     }
 }
 
@@ -330,33 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn taxonomy_round_trips_through_tensor_error() {
-        let cases = [
-            GmorphError::Panic {
-                op: "eval",
-                msg: "boom".into(),
-            },
-            GmorphError::NonFinite {
-                op: "finetune",
-                msg: "loss=NaN".into(),
-            },
-            GmorphError::Timeout {
-                op: "eval",
-                msg: "deadline 5ms, took 40ms".into(),
-            },
-            GmorphError::OomGuard {
-                op: "pool",
-                msg: "budget 1MiB, wanted 2MiB".into(),
-            },
-        ];
-        for err in cases {
-            let lowered: TensorError = err.clone().into();
-            let lifted: GmorphError = lowered.into();
-            assert_eq!(lifted, err);
-        }
-    }
-
-    #[test]
     fn tensor_errors_classify_as_graph_or_io() {
         let shape = TensorError::ShapeMismatch {
             op: "matmul",
@@ -364,7 +213,7 @@ mod tests {
             rhs: "4x5".into(),
         };
         assert_eq!(classify(&shape), FailureKind::Graph);
-        assert!(!GmorphError::from(shape).is_transient());
+        assert!(!classify(&shape).is_transient());
         let io = TensorError::Io("disk gone".into());
         assert_eq!(classify(&io), FailureKind::Io);
         assert_eq!(classify(&non_finite("x", "y")), FailureKind::NonFinite);

@@ -77,7 +77,7 @@ mod tests {
     }
 }
 
-pub use error::{FailureKind, FaultKind, FaultSpec, GmorphError};
+pub use error::{FailureKind, FaultKind, FaultSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
 
