@@ -41,6 +41,9 @@ use gmorph_tensor::{Result, TensorError};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+/// Virtual-clock sample count (paper-scale representative inputs).
+const VIRTUAL_SAMPLES: u64 = 20_000;
+
 /// The metric the search minimizes (the paper's config item (1)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
@@ -71,8 +74,6 @@ pub struct SearchConfig {
     /// Fine-tuning configuration; `target_drop` is the accuracy threshold
     /// and `early_termination` enables the "+P" variant.
     pub finetune: FinetuneConfig,
-    /// Virtual-clock sample count (paper-scale representative inputs).
-    pub virtual_samples: u64,
     /// Virtual-clock effective training throughput in FLOP/s (the paper's
     /// RTX-8000 assumption by default).
     pub virtual_throughput: f64,
@@ -95,7 +96,6 @@ impl Default for SearchConfig {
             pair_policy: PairPolicy::SimilarShape,
             rule_filter: false,
             finetune: FinetuneConfig::default(),
-            virtual_samples: 20_000,
             virtual_throughput: gmorph_perf::clock::DEFAULT_THROUGHPUT,
             seed: 0,
             supervisor: SupervisorConfig::default(),
@@ -287,7 +287,7 @@ pub fn run_search_checkpointed(
     let wall_start = Instant::now();
     let mut policy = SimulatedAnnealing::new();
     policy.alpha = cfg.sa_alpha;
-    let clock = VirtualClock::with_throughput(cfg.virtual_samples, cfg.virtual_throughput);
+    let clock = VirtualClock::with_throughput(VIRTUAL_SAMPLES, cfg.virtual_throughput);
 
     let original_latency_ms = estimate_latency_ms(paper, Backend::Eager)?;
     let _run_span = gmorph_telemetry::span!(
@@ -306,7 +306,7 @@ pub fn run_search_checkpointed(
         rule_filter = cfg.rule_filter,
         early_termination = cfg.finetune.early_termination,
         sa_alpha = cfg.sa_alpha,
-        virtual_samples = cfg.virtual_samples,
+        virtual_samples = VIRTUAL_SAMPLES,
         virtual_throughput = clock.throughput(),
         original_latency_ms = original_latency_ms,
         nodes = mini.len(),
@@ -780,39 +780,19 @@ impl State {
         cand: Candidate,
         outcome: std::result::Result<Evaluation, FailureReport>,
     ) -> Result<Step> {
-        // Charge the virtual clock, then apply the deterministic
-        // virtual-clock deadline: a candidate whose fine-tuning cost blew
-        // the per-candidate budget is a timeout even if it converged.
-        let clock_before = self.clock.seconds();
-        let outcome = match outcome {
+        // Charge the virtual clock.
+        let evaluation = match outcome {
             Ok(evaluation) => {
                 let paper_flops = cand.paper.flops()?;
                 self.clock
                     .charge_finetune(paper_flops, evaluation.result.epochs_run);
                 self.clock
                     .charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
-                let spent_hours = (self.clock.seconds() - clock_before) / 3600.0;
-                match cfg.supervisor.virtual_deadline_hours {
-                    Some(limit) if spent_hours > limit => Err(FailureReport {
-                        kind: gmorph_tensor::FailureKind::Timeout,
-                        attempts: 1,
-                        message: format!(
-                            "virtual cost {spent_hours:.3}h exceeds the \
-                             {limit:.3}h per-candidate budget"
-                        ),
-                    }),
-                    _ => Ok(evaluation),
-                }
+                evaluation
             }
             Err(report) => {
                 // Failed attempts still consumed search time.
                 self.clock.charge_overhead(2.0 * report.attempts as f64);
-                Err(report)
-            }
-        };
-        let evaluation = match outcome {
-            Ok(evaluation) => evaluation,
-            Err(report) => {
                 // A failed candidate is quarantined and reads as maximally
                 // bad to the SA policy: elites stay preferable and the
                 // temperature schedule sees a rejection, not a hole.
