@@ -62,7 +62,7 @@ pub fn all_shared(specs: &[ModelSpec]) -> Result<AbsGraph> {
 ///
 /// `branch_at` must not exceed the common identical prefix; 0 reproduces
 /// the original separate models.
-pub fn build_branched(specs: &[ModelSpec], branch_at: usize) -> Result<AbsGraph> {
+pub(crate) fn build_branched(specs: &[ModelSpec], branch_at: usize) -> Result<AbsGraph> {
     let first = specs.first().ok_or(TensorError::InvalidArgument {
         op: "baselines::build_branched",
         msg: "no models".to_string(),

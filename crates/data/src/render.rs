@@ -9,7 +9,7 @@ use gmorph_tensor::Tensor;
 /// Each basis is a random 4×4 field bilinearly upsampled to `S`×`S`, which
 /// gives smooth, spatially coherent patterns that small convolutions can
 /// learn to detect — unlike white noise.
-pub fn random_bases(n: usize, channels: usize, img: usize, rng: &mut Rng) -> Vec<Vec<f32>> {
+pub(crate) fn random_bases(n: usize, channels: usize, img: usize, rng: &mut Rng) -> Vec<Vec<f32>> {
     let coarse_side = 4.min(img);
     (0..n)
         .map(|_| {
@@ -22,7 +22,7 @@ pub fn random_bases(n: usize, channels: usize, img: usize, rng: &mut Rng) -> Vec
 }
 
 /// Adds `scale * basis` into a sample buffer.
-pub fn add_scaled(sample: &mut [f32], basis: &[f32], scale: f32) {
+pub(crate) fn add_scaled(sample: &mut [f32], basis: &[f32], scale: f32) {
     debug_assert_eq!(sample.len(), basis.len());
     for (s, &b) in sample.iter_mut().zip(basis.iter()) {
         *s += scale * b;
@@ -33,7 +33,7 @@ pub fn add_scaled(sample: &mut [f32], basis: &[f32], scale: f32) {
 ///
 /// Used by the scenes generator to place object patterns at varying
 /// positions.
-pub fn add_scaled_shifted(
+pub(crate) fn add_scaled_shifted(
     sample: &mut [f32],
     basis: &[f32],
     channels: usize,

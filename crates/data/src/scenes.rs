@@ -50,7 +50,7 @@ impl Default for ScenesConfig {
 }
 
 /// Number of salient-count classes for a config.
-pub fn salient_classes(cfg: &ScenesConfig) -> usize {
+pub(crate) fn salient_classes(cfg: &ScenesConfig) -> usize {
     cfg.max_salient + 1
 }
 

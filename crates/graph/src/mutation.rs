@@ -20,7 +20,6 @@
 
 use crate::absgraph::{AbsGraph, AbsNode, NodeId};
 use gmorph_nn::{BlockSpec, OpType};
-use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, TensorError};
 
 /// Which of the paper's mutation classes an operation fell into.
@@ -60,7 +59,7 @@ pub struct MutationOutcome {
 /// against by operating on a scratch clone — when the pair is structurally
 /// illegal: identical nodes, `m` an ancestor of `n` (cycle), a no-op
 /// (same parent), or an input that cannot be re-scaled (token ids).
-pub fn share_input(g: &mut AbsGraph, n: NodeId, m: NodeId) -> Result<MutationOutcome> {
+pub(crate) fn share_input(g: &mut AbsGraph, n: NodeId, m: NodeId) -> Result<MutationOutcome> {
     let reject = |msg: String| {
         Err(TensorError::InvalidArgument {
             op: "mutation::share_input",
@@ -183,32 +182,6 @@ pub fn mutation_pass(
         }
     }
     Ok((current, outcomes))
-}
-
-/// Samples a random set of shareable pairs and applies a mutation pass,
-/// retrying until at least one operation lands (or attempts run out).
-///
-/// This is `sampleNodePairs` + `mutate` of Algorithm 1 (lines 8-9).
-pub fn random_mutation_pass(
-    base: &AbsGraph,
-    pairs: &[(NodeId, NodeId)],
-    max_ops: usize,
-    rng: &mut Rng,
-) -> Result<Option<(AbsGraph, Vec<MutationOutcome>)>> {
-    if pairs.is_empty() {
-        return Ok(None);
-    }
-    for _ in 0..8 {
-        let k = 1 + rng.below(max_ops.max(1));
-        let chosen: Vec<(NodeId, NodeId)> = (0..k)
-            .map(|_| pairs[rng.below(pairs.len())])
-            .collect();
-        let (g, ops) = mutation_pass(base, &chosen)?;
-        if !ops.is_empty() {
-            return Ok(Some((g, ops)));
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -348,21 +321,5 @@ mod tests {
         let m = by_key(&g, 1, 1);
         let _ = mutation_pass(&g, &[(n, m)]).unwrap();
         assert_eq!(g.signature(), sig);
-    }
-
-    #[test]
-    fn random_pass_finds_some_mutation() {
-        let g = two_vgg_graph();
-        let pairs = crate::pairs::shareable_pairs(&g).unwrap();
-        let mut rng = Rng::new(0);
-        let got = random_mutation_pass(&g, &pairs, 2, &mut rng).unwrap();
-        assert!(got.is_some());
-        let (mutated, ops) = got.unwrap();
-        mutated.validate().unwrap();
-        assert!(!ops.is_empty());
-        // Empty pair list yields none.
-        assert!(random_mutation_pass(&g, &[], 2, &mut rng)
-            .unwrap()
-            .is_none());
     }
 }

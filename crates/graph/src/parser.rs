@@ -48,11 +48,6 @@ impl WeightStore {
             _ => None,
         }
     }
-
-    /// Merges another store into this one (other wins on conflicts).
-    pub fn absorb(&mut self, other: WeightStore) {
-        self.entries.extend(other.entries);
-    }
 }
 
 /// Coarse operator type of a block spec (shared with baselines).
@@ -201,16 +196,5 @@ mod tests {
         assert!(store.lookup(node.key(), &node.spec).is_some());
         let wrong = BlockSpec::MaxPool { k: 2 };
         assert!(store.lookup(node.key(), &wrong).is_none());
-    }
-
-    #[test]
-    fn weight_store_absorb_overwrites() {
-        let mut a = WeightStore::new();
-        let spec = BlockSpec::MaxPool { k: 2 };
-        a.insert((0, 0), spec.clone(), vec![]);
-        let mut b = WeightStore::new();
-        b.insert((0, 0), spec.clone(), vec![Tensor::ones(&[1])]);
-        a.absorb(b);
-        assert_eq!(a.lookup((0, 0), &spec).unwrap().len(), 1);
     }
 }

@@ -74,7 +74,7 @@ fn decode_dims(s: &str) -> Result<Vec<usize>> {
 }
 
 /// Encodes a block spec as one whitespace-free token.
-pub fn encode_spec(spec: &BlockSpec) -> String {
+pub(crate) fn encode_spec(spec: &BlockSpec) -> String {
     match spec {
         BlockSpec::ConvRelu { c_in, c_out } => format!("conv_relu:{c_in}:{c_out}"),
         BlockSpec::ConvBnRelu {
@@ -105,7 +105,7 @@ pub fn encode_spec(spec: &BlockSpec) -> String {
 }
 
 /// Decodes a block spec written by [`encode_spec`].
-pub fn decode_spec(s: &str) -> Result<BlockSpec> {
+pub(crate) fn decode_spec(s: &str) -> Result<BlockSpec> {
     let parts: Vec<&str> = s.split(':').collect();
     let int = |i: usize| -> Result<usize> {
         parts

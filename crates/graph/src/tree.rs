@@ -218,22 +218,6 @@ impl TreeModel {
             n.block.clear_cache();
         }
     }
-
-    /// Counts nodes shared by at least two tasks (diagnostic).
-    pub fn shared_node_count(&self) -> usize {
-        // A node is shared when ≥2 head leaves live in its subtree.
-        let mut heads_below = vec![0usize; self.nodes.len()];
-        for &i in self.topo().iter().rev() {
-            let own = usize::from(self.nodes[i].head_task.is_some());
-            let below: usize = self.nodes[i]
-                .children
-                .iter()
-                .map(|&c| heads_below[c])
-                .sum();
-            heads_below[i] = own + below;
-        }
-        heads_below.iter().filter(|&&h| h >= 2).count()
-    }
 }
 
 #[cfg(test)]
@@ -272,13 +256,6 @@ mod tests {
         assert_eq!(ys.len(), 2);
         assert_eq!(ys[0].dims(), &[2, 2]);
         assert_eq!(ys[1].dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn shared_node_count_detects_trunk() {
-        let mut rng = Rng::new(1);
-        let m = shared_tree(&mut rng);
-        assert_eq!(m.shared_node_count(), 1);
     }
 
     #[test]

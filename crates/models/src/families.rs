@@ -186,7 +186,7 @@ pub fn resnet(depth: ResNetDepth, scale: VisionScale, task: &TaskSpec) -> Result
 
 /// Builds a ViT-family model spec: patch embedding, `depth` encoder
 /// blocks, mean-pool head.
-pub fn vit(
+pub(crate) fn vit(
     name: &str,
     scale: SeqScale,
     in_channels: usize,

@@ -75,9 +75,9 @@ fn batch_loss(
 }
 
 /// Payload kind of teacher-training snapshots.
-pub const TEACHER_KIND: &str = "teacher";
+pub(crate) const TEACHER_KIND: &str = "teacher";
 /// Schema version of teacher-training snapshots.
-pub const TEACHER_SCHEMA: u32 = 1;
+pub(crate) const TEACHER_SCHEMA: u32 = 1;
 
 /// Fingerprints the training configuration plus model/task identity: a
 /// teacher snapshot must only resume the exact run it was written for.
@@ -351,7 +351,7 @@ pub fn evaluate(
 }
 
 /// Runs a model over a dataset in eval mode, batching to bound memory.
-pub fn eval_logits(model: &mut SingleTaskModel, ds: &MultiTaskDataset) -> Result<Tensor> {
+pub(crate) fn eval_logits(model: &mut SingleTaskModel, ds: &MultiTaskDataset) -> Result<Tensor> {
     let mut outs = Vec::new();
     let n = ds.len();
     let batch = 64usize;

@@ -57,12 +57,12 @@ impl Linear {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.weight.value.dims()[1]
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.weight.value.dims()[0]
     }
 
@@ -119,14 +119,9 @@ impl Linear {
     /// Read-only parameter visit, in the same order as [`visit_params`].
     ///
     /// [`visit_params`]: Linear::visit_params
-    pub fn visit_params_ref(&self, f: &mut dyn FnMut(&Parameter)) {
+    pub(crate) fn visit_params_ref(&self, f: &mut dyn FnMut(&Parameter)) {
         f(&self.weight);
         f(&self.bias);
-    }
-
-    /// Number of trainable scalars.
-    pub fn param_count(&self) -> usize {
-        self.weight.numel() + self.bias.numel()
     }
 
     /// Drops cached activations (used when cloning for inference).

@@ -15,7 +15,7 @@ use gmorph_tensor::ops::softmax_rows;
 use gmorph_tensor::{Result, Tensor, TensorError};
 
 /// Mean absolute error and its gradient.
-pub fn l1_loss(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
+pub(crate) fn l1_loss(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
     if pred.dims() != target.dims() {
         return Err(TensorError::ShapeMismatch {
             op: "l1_loss",
@@ -40,27 +40,6 @@ pub fn l1_loss(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
         } / n;
     }
     health::observe_loss("l1_loss", loss / n);
-    Ok((loss / n, grad))
-}
-
-/// Mean squared error and its gradient.
-pub fn mse_loss(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
-    if pred.dims() != target.dims() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mse_loss",
-            lhs: pred.shape().to_string(),
-            rhs: target.shape().to_string(),
-        });
-    }
-    let n = pred.numel().max(1) as f32;
-    let mut grad = Tensor::zeros(pred.dims());
-    let mut loss = 0.0f32;
-    for i in 0..pred.numel() {
-        let d = pred.data()[i] - target.data()[i];
-        loss += d * d;
-        grad.data_mut()[i] = 2.0 * d / n;
-    }
-    health::observe_loss("mse_loss", loss / n);
     Ok((loss / n, grad))
 }
 
@@ -179,24 +158,6 @@ mod tests {
         let p = Tensor::ones(&[4]);
         let (l, _) = l1_loss(&p, &p).unwrap();
         assert_eq!(l, 0.0);
-    }
-
-    #[test]
-    fn mse_gradcheck() {
-        let mut rng = Rng::new(0);
-        let p = Tensor::randn(&[6], 1.0, &mut rng);
-        let t = Tensor::randn(&[6], 1.0, &mut rng);
-        let (_, g) = mse_loss(&p, &t).unwrap();
-        let eps = 1e-3;
-        for i in 0..6 {
-            let mut pp = p.clone();
-            pp.data_mut()[i] += eps;
-            let mut pm = p.clone();
-            pm.data_mut()[i] -= eps;
-            let num =
-                (mse_loss(&pp, &t).unwrap().0 - mse_loss(&pm, &t).unwrap().0) / (2.0 * eps);
-            assert!((num - g.data()[i]).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl Parameter {
     }
 
     /// Accumulates `g` into the gradient.
-    pub fn accumulate(&mut self, g: &Tensor) -> Result<()> {
+    pub(crate) fn accumulate(&mut self, g: &Tensor) -> Result<()> {
         self.grad.add_assign(g)
     }
 
@@ -48,7 +48,7 @@ impl Parameter {
     ///
     /// Used when a generated model inherits weights from a base candidate:
     /// optimizer state must not leak across candidates.
-    pub fn load_value(&mut self, value: Tensor) {
+    pub(crate) fn load_value(&mut self, value: Tensor) {
         self.grad = Tensor::zeros(value.dims());
         self.m = Tensor::zeros(value.dims());
         self.v = Tensor::zeros(value.dims());

@@ -50,7 +50,7 @@ fn fold_pair(conv: &mut Conv2d, bn: &mut BatchNorm2d) {
 
 /// Folds every conv+bn pair inside one block. Returns how many batch
 /// norms were folded.
-pub fn fold_block(block: &mut Block) -> usize {
+pub(crate) fn fold_block(block: &mut Block) -> usize {
     match block {
         Block::ConvBnRelu { conv, bn, .. } => {
             fold_pair(conv, bn);
@@ -87,7 +87,7 @@ pub fn fold_block(block: &mut Block) -> usize {
 /// layers ignore `fused_act` in `Mode::Train`, so training semantics are
 /// untouched — and bit-exact: the epilogue applies the same scalar
 /// sequence (`act(v + bias)`) the separate elementwise pass would.
-pub fn fuse_epilogues(block: &mut Block) -> usize {
+pub(crate) fn fuse_epilogues(block: &mut Block) -> usize {
     match block {
         Block::ConvRelu { conv, .. } => {
             conv.fused_act = Activation::Relu;

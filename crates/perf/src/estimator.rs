@@ -54,11 +54,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Total per-sample FLOPs of an abstract graph (the FLOPs Estimator).
-pub fn flops_of(graph: &AbsGraph) -> Result<u64> {
-    graph.flops()
-}
-
 /// Analytic latency of one inference pass over an abstract graph, in
 /// milliseconds.
 pub fn estimate_latency_ms(graph: &AbsGraph, backend: Backend) -> Result<f64> {
@@ -327,11 +322,5 @@ mod tests {
             qps_fused > qps_orig,
             "fused {qps_fused:.0} qps !> original {qps_orig:.0} qps"
         );
-    }
-
-    #[test]
-    fn flops_of_matches_graph_flops() {
-        let (mini, _) = graphs();
-        assert_eq!(flops_of(&mini).unwrap(), mini.flops().unwrap());
     }
 }

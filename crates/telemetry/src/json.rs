@@ -132,7 +132,7 @@ impl Json {
 /// Writes a float: non-finite values become `null` (JSON has no NaN/inf);
 /// finite values use the shortest round-trippable repr, which always
 /// carries a `.` or `e` so the parser classifies them as floats.
-pub fn encode_f64(f: f64, out: &mut String) {
+pub(crate) fn encode_f64(f: f64, out: &mut String) {
     if !f.is_finite() {
         out.push_str("null");
     } else {
@@ -143,7 +143,7 @@ pub fn encode_f64(f: f64, out: &mut String) {
 }
 
 /// Writes a JSON string literal with escaping.
-pub fn encode_str(s: &str, out: &mut String) {
+pub(crate) fn encode_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

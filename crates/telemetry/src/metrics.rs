@@ -186,7 +186,7 @@ pub fn reset() {
 /// Emits every counter and histogram as summary events to the active
 /// sink. Called by [`crate::shutdown`]; safe to call repeatedly (values
 /// are not cleared).
-pub fn flush_to_sink() {
+pub(crate) fn flush_to_sink() {
     if !crate::enabled() {
         return;
     }

@@ -1,4 +1,4 @@
-//! Max/average pooling with backward passes (NCHW layout).
+//! Max and global-average pooling with backward passes (NCHW layout).
 //!
 //! Every op decomposes over `(sample, channel)` planes, which are
 //! independent, so planes are dispatched across the shared worker pool
@@ -176,93 +176,6 @@ pub fn global_avgpool_backward(grad_output: &Tensor, input_dims: &[usize]) -> Re
     Ok(grad_input)
 }
 
-/// `k`×`k` average pooling with stride `k`.
-pub fn avgpool2d_forward(input: &Tensor, k: usize) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw(input, "avgpool2d_forward")?;
-    if k == 0 || h < k || w < k {
-        return Err(TensorError::InvalidArgument {
-            op: "avgpool2d_forward",
-            msg: format!("kernel {k} invalid for input {h}x{w}"),
-        });
-    }
-    let (oh, ow) = (h / k, w / k);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let inv = 1.0 / (k * k) as f32;
-    let data = input.data();
-    let small = input.numel() < PAR_MIN;
-
-    let do_plane = |pi: usize, o: &mut [f32]| {
-        let plane = pi * h * w;
-        let mut oi = 0usize;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        acc += data[plane + (oy * k + ky) * w + (ox * k + kx)];
-                    }
-                }
-                o[oi] = acc * inv;
-                oi += 1;
-            }
-        }
-    };
-
-    if small {
-        for (pi, o) in out.data_mut().chunks_mut(oh * ow).enumerate() {
-            do_plane(pi, o);
-        }
-    } else {
-        engine::parallel_chunks_mut(out.data_mut(), oh * ow, do_plane);
-    }
-    Ok(out)
-}
-
-/// Backward pass for `k`×`k` average pooling.
-pub fn avgpool2d_backward(grad_output: &Tensor, input_dims: &[usize], k: usize) -> Result<Tensor> {
-    let (n, c, h, w) = (
-        input_dims[0],
-        input_dims[1],
-        input_dims[2],
-        input_dims[3],
-    );
-    let (oh, ow) = (h / k, w / k);
-    if grad_output.dims() != [n, c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            op: "avgpool2d_backward",
-            lhs: format!("[{n}, {c}, {oh}, {ow}]"),
-            rhs: grad_output.shape().to_string(),
-        });
-    }
-    let mut grad_input = Tensor::zeros(input_dims);
-    let inv = 1.0 / (k * k) as f32;
-    let go = grad_output.data();
-    let small = grad_input.numel() < PAR_MIN;
-
-    let do_plane = |pi: usize, gi: &mut [f32]| {
-        let go_plane = pi * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = go[go_plane + oy * ow + ox] * inv;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        gi[(oy * k + ky) * w + (ox * k + kx)] += g;
-                    }
-                }
-            }
-        }
-    };
-
-    if small {
-        for (pi, gi) in grad_input.data_mut().chunks_mut(h * w).enumerate() {
-            do_plane(pi, gi);
-        }
-    } else {
-        engine::parallel_chunks_mut(grad_input.data_mut(), h * w, do_plane);
-    }
-    Ok(grad_input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,16 +201,6 @@ mod tests {
         assert_eq!(gi.at(&[0, 0, 1, 3]).unwrap(), 2.0);
         assert_eq!(gi.at(&[0, 0, 3, 3]).unwrap(), 4.0);
         assert_eq!(gi.sum(), 10.0);
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 6.0]).unwrap();
-        let y = avgpool2d_forward(&x, 2).unwrap();
-        assert_eq!(y.data(), &[3.0]);
-        let go = Tensor::from_vec(&[1, 1, 1, 1], vec![4.0]).unwrap();
-        let gi = avgpool2d_backward(&go, x.dims(), 2).unwrap();
-        assert_eq!(gi.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]

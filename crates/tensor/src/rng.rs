@@ -217,14 +217,6 @@ impl Rng {
         }
     }
 
-    /// Samples `k` distinct indices from `0..n` (k clamped to n).
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut ix: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut ix);
-        ix.truncate(k.min(n));
-        ix
-    }
-
     /// Captures the full generator state for checkpointing.
     pub fn state(&self) -> RngState {
         RngState {
@@ -306,19 +298,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut rng = Rng::new(8);
-        let ix = rng.sample_indices(10, 5);
-        assert_eq!(ix.len(), 5);
-        let mut s = ix.clone();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(s.len(), 5);
-        // k > n clamps.
-        assert_eq!(rng.sample_indices(3, 10).len(), 3);
     }
 
     #[test]

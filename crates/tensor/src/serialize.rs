@@ -42,7 +42,7 @@ fn read_u64(r: &mut impl Read) -> Result<u64> {
 }
 
 /// Writes a single tensor to a writer.
-pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> Result<()> {
+pub(crate) fn write_tensor(w: &mut impl Write, t: &Tensor) -> Result<()> {
     write_u32(w, t.shape().rank() as u32)?;
     for &d in t.dims() {
         write_u64(w, d as u64)?;
@@ -55,7 +55,7 @@ pub fn write_tensor(w: &mut impl Write, t: &Tensor) -> Result<()> {
 }
 
 /// Reads a single tensor from a reader.
-pub fn read_tensor(r: &mut impl Read) -> Result<Tensor> {
+pub(crate) fn read_tensor(r: &mut impl Read) -> Result<Tensor> {
     let rank = read_u32(r)? as usize;
     if rank > 8 {
         return Err(TensorError::Io(format!("implausible tensor rank {rank}")));
