@@ -14,7 +14,7 @@ use gmorph::search::driver::propose_candidate;
 
 /// One sampled multi-task model.
 #[derive(Debug, Clone)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Which sub-figure ("3xVGG16" or "ResNet18+34").
     pub setting: &'static str,
     /// "similar" or "dissimilar" pair class.

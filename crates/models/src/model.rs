@@ -59,7 +59,7 @@ impl ModelSpec {
 
     /// Per-sample input shapes of every block (`blocks.len()` entries) plus
     /// the final output shape.
-    pub fn shapes(&self) -> Result<Vec<Vec<usize>>> {
+    pub(crate) fn shapes(&self) -> Result<Vec<Vec<usize>>> {
         let mut shapes = Vec::with_capacity(self.blocks.len() + 1);
         let mut cur = self.input_shape.clone();
         shapes.push(cur.clone());

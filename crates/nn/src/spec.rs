@@ -9,9 +9,8 @@
 //! descriptor.
 
 use crate::block::Block;
-use crate::Mode;
 use gmorph_tensor::rng::Rng;
-use gmorph_tensor::{Result, Tensor, TensorError};
+use gmorph_tensor::{Result, TensorError};
 
 /// Architecture of a computation block (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -383,27 +382,27 @@ impl Block {
             },
         }
     }
-
-    /// Runs a shape-probe forward pass to validate spec/block agreement.
-    ///
-    /// Test helper: builds a batch-1 input of `in_shape` and checks the
-    /// output matches `spec().out_shape(in_shape)`.
-    pub fn probe(&mut self, in_shape: &[usize]) -> Result<Vec<usize>> {
-        let mut dims = vec![1usize];
-        dims.extend_from_slice(in_shape);
-        let x = match self {
-            // Token embeddings need integral ids.
-            Block::TokenEmbedB(_) => Tensor::zeros(&dims),
-            _ => Tensor::full(&dims, 0.1),
-        };
-        let y = self.forward(&x, Mode::Eval)?;
-        Ok(y.dims()[1..].to_vec())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
+    use gmorph_tensor::Tensor;
+
+    /// Runs a batch-1 forward pass of `in_shape` and returns the output
+    /// shape without the batch dimension.
+    fn probe(block: &mut Block, in_shape: &[usize]) -> Result<Vec<usize>> {
+        let mut dims = vec![1usize];
+        dims.extend_from_slice(in_shape);
+        let x = match block {
+            // Token embeddings need integral ids.
+            Block::TokenEmbedB(_) => Tensor::zeros(&dims),
+            _ => Tensor::full(&dims, 0.1),
+        };
+        let y = block.forward(&x, Mode::Eval)?;
+        Ok(y.dims()[1..].to_vec())
+    }
 
     fn all_specs() -> Vec<(BlockSpec, Vec<usize>)> {
         vec![
@@ -500,7 +499,7 @@ mod tests {
         for (spec, in_shape) in all_specs() {
             let mut block = spec.build(&mut rng).unwrap();
             let expect = spec.out_shape(&in_shape).unwrap();
-            let got = block.probe(&in_shape).unwrap();
+            let got = probe(&mut block, &in_shape).unwrap();
             assert_eq!(got, expect, "{spec:?}");
             // The block's own out_shape agrees too.
             assert_eq!(block.out_shape(&in_shape).unwrap(), expect, "{spec:?}");

@@ -72,7 +72,7 @@ pub fn inherited_fraction(candidate: &AbsGraph, weights: &WeightStore) -> f32 {
 
 impl EvalMode {
     /// Teacher scores the drop is measured against.
-    pub fn teacher_scores(&self) -> &[f32] {
+    pub(crate) fn teacher_scores(&self) -> &[f32] {
         match self {
             EvalMode::Real(c) => &c.teacher_scores,
             EvalMode::Surrogate(c) => &c.teacher_scores,

@@ -56,7 +56,7 @@ pub fn enabled() -> bool {
 }
 
 /// Microseconds since the process's telemetry epoch (first call wins).
-pub fn now_us() -> u64 {
+pub(crate) fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 

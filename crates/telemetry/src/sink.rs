@@ -53,11 +53,6 @@ impl JsonlSink {
             writer: Mutex::new((BufWriter::new(file), Ok(()))),
         })
     }
-
-    /// The file this sink writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl Sink for JsonlSink {
@@ -181,7 +176,8 @@ impl TestSinkGuard {
     }
 
     /// The underlying sink.
-    pub fn sink(&self) -> &Arc<MemorySink> {
+    #[cfg(test)]
+    pub(crate) fn sink(&self) -> &Arc<MemorySink> {
         &self.sink
     }
 }

@@ -89,11 +89,6 @@ impl SpanGuard {
             active: true,
         }
     }
-
-    /// The span's id (0 when telemetry was disabled at entry).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 impl Drop for SpanGuard {
@@ -139,12 +134,12 @@ mod tests {
         let guard = install_test_sink();
         {
             let outer = SpanGuard::enter("outer", Vec::new);
-            assert_eq!(current_span(), outer.id());
+            assert_eq!(current_span(), outer.id);
             {
                 let inner = SpanGuard::enter("inner", Vec::new);
-                assert_eq!(current_span(), inner.id());
+                assert_eq!(current_span(), inner.id);
             }
-            assert_eq!(current_span(), outer.id());
+            assert_eq!(current_span(), outer.id);
         }
         assert_eq!(current_span(), 0);
         let events = guard.events();
@@ -173,7 +168,7 @@ mod tests {
         let depth_before = SPAN_STACK.with(|s| s.borrow().len());
         {
             let g = SpanGuard::enter("noop", || panic!("fields must stay lazy"));
-            assert_eq!(g.id(), 0);
+            assert_eq!(g.id, 0);
         }
         assert_eq!(SPAN_STACK.with(|s| s.borrow().len()), depth_before);
     }

@@ -661,7 +661,8 @@ mod tests {
                                 }
                             }
                         }
-                        out.set(&[s, co, oy, ox], acc).unwrap();
+                        let off = out.shape().offset(&[s, co, oy, ox]).unwrap();
+                        out.data_mut()[off] = acc;
                     }
                 }
             }

@@ -646,7 +646,7 @@ pub(crate) struct PackedLhs {
 impl PackedLhs {
     /// Packs `A` (`[m, k]`), or with `transposed` the transpose of `a`
     /// stored `[k, m]`, for products with `[k, n]` right operands.
-    pub(crate) fn new(a: &[f32], transposed: bool, m: usize, k: usize, n: usize) -> Self {
+    pub fn new(a: &[f32], transposed: bool, m: usize, k: usize, n: usize) -> Self {
         let start = gmorph_telemetry::enabled().then(std::time::Instant::now);
         debug_assert_eq!(a.len(), m * k);
         let layout = if transposed {
@@ -929,20 +929,6 @@ pub mod naive {
     }
 }
 
-/// Transposes a rank-2 tensor.
-pub fn transpose(a: &Tensor) -> Result<Tensor> {
-    let (m, n) = check_rank2(a, "transpose")?;
-    let ad = a.data();
-    // Every element is written below, so recycled contents are fine.
-    let mut out = buffer::take_uninit(m * n);
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = ad[i * n + j];
-        }
-    }
-    Tensor::from_vec(&[n, m], out)
-}
-
 /// Adds a `[n]` bias row-wise into a `[m, n]` matrix in place.
 pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) -> Result<()> {
     let (m, n) = check_rank2(a, "add_bias_rows")?;
@@ -1008,13 +994,25 @@ mod tests {
         }
     }
 
+    fn transpose(a: &Tensor) -> Result<Tensor> {
+        let (m, n) = check_rank2(a, "transpose")?;
+        let ad = a.data();
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[j * m + i] = ad[i * n + j];
+            }
+        }
+        Tensor::from_vec(&[n, m], out)
+    }
+
     #[test]
     fn matmul_identity() {
         let mut rng = Rng::new(0);
         let a = Tensor::randn(&[3, 3], 1.0, &mut rng);
         let mut id = Tensor::zeros(&[3, 3]);
         for i in 0..3 {
-            id.set(&[i, i], 1.0).unwrap();
+            id.data_mut()[i * 3 + i] = 1.0;
         }
         assert_close(&matmul(&a, &id).unwrap(), &a, 1e-6);
         assert_close(&matmul(&id, &a).unwrap(), &a, 1e-6);
