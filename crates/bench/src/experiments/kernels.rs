@@ -23,7 +23,10 @@
 //! `gemm_tn` at the engine's thread count. Conv records time `conv_fwd`
 //! (`conv2d_forward`) and `conv_bwd` (`conv2d_backward_geom`) on each of
 //! the tower's eight layers at the fine-tuning batch of 64, plus
-//! `conv_tower_fwd_bwd`, their sum. `attention_eval` is a 4-head
+//! `conv_tower_fwd_bwd`, their sum. A conv record's `shape` starts with
+//! its layer's 1-based position (`l7-n64c16-16s2k3`): the last two layers
+//! have the same geometry. No two records share `(op, config, shape,
+//! threads)`. `attention_eval` is a 4-head
 //! `MultiHeadAttention` forward (d = 32) and `resize_bilinear` an 8×8 →
 //! 16×16 upsampling.
 
@@ -101,12 +104,14 @@ fn conv_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     let (iters, samples) = if opts.quick { (2, 3) } else { (10, 7) };
     let layers: Vec<_> = VGG13_B1
         .iter()
-        .map(|&(c_in, c_out, side)| {
+        .enumerate()
+        .map(|(i, &(c_in, c_out, side))| {
             let x = Tensor::randn(&[BATCH, c_in, side, side], 1.0, &mut rng);
             let w = Tensor::randn(&[c_out, c_in, 3, 3], 0.5, &mut rng);
             let b = Tensor::randn(&[c_out], 0.1, &mut rng);
             let go = Tensor::randn(&[BATCH, c_out, side, side], 1.0, &mut rng);
-            (format!("n{BATCH}c{c_in}-{c_out}s{side}k3"), x, w, b, go)
+            let shape = format!("l{}-n{BATCH}c{c_in}-{c_out}s{side}k3", i + 1);
+            (shape, x, w, b, go)
         })
         .collect();
     for threads in [1usize, engine::num_threads().max(2)] {
@@ -169,8 +174,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     gemm_records(opts, &mut records);
     conv_records(opts, &mut records);
     attention_resize_records(opts, &mut records);
-    write_bench_json(&opts.out_dir, "BENCH_kernels.json", &records);
-    Ok(())
+    write_bench_json(&opts.out_dir, "BENCH_kernels.json", &records)
 }
 
 #[cfg(test)]
