@@ -111,7 +111,12 @@ impl Reporter {
     }
 
     /// Writes a CSV file (header + rows) under the output directory.
-    pub(crate) fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
+    pub(crate) fn write_csv(
+        &self,
+        name: &str,
+        header: &[&str],
+        rows: &[Vec<String>],
+    ) -> gmorph::tensor::Result<()> {
         let mut out = String::new();
         out.push_str(&header.join(","));
         out.push('\n');
@@ -119,22 +124,17 @@ impl Reporter {
             out.push_str(&row.join(","));
             out.push('\n');
         }
-        let path = self.out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[wrote {}]", path.display());
-        }
+        self.write_text(name, &out)
     }
 
     /// Writes arbitrary text under the output directory.
-    pub(crate) fn write_text(&self, name: &str, text: &str) {
+    pub(crate) fn write_text(&self, name: &str, text: &str) -> gmorph::tensor::Result<()> {
         let path = self.out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[wrote {}]", path.display());
-        }
+        std::fs::write(&path, text).map_err(|e| {
+            gmorph::tensor::TensorError::Io(format!("could not write {}: {e}", path.display()))
+        })?;
+        println!("[wrote {}]", path.display());
+        Ok(())
     }
 
     /// Prints an aligned table to stdout.
@@ -300,8 +300,7 @@ pub(crate) fn write_bench_json(
             Json::Arr(records.iter().map(BenchRecord::to_json).collect()),
         ),
     ]));
-    Reporter::new(out_dir).write_text(name, &format!("{}\n", file.encode()));
-    Ok(())
+    Reporter::new(out_dir).write_text(name, &format!("{}\n", file.encode()))
 }
 
 /// Formats a float with fixed precision for table cells.
@@ -396,10 +395,22 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_write_under_a_regular_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("gmorph-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").unwrap();
+        let out = file.join("out");
+        let err = write_bench_json(&out, "BENCH_x.json", &[]).unwrap_err();
+        assert!(err.to_string().contains("could not write"), "{err}");
+        assert!(Reporter::new(&out).write_csv("t.csv", &["a"], &[]).is_err());
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
     fn reporter_writes_files() {
         let dir = std::env::temp_dir().join(format!("gmorph-rep-{}", std::process::id()));
         let r = Reporter::new(&dir);
-        r.write_csv("t.csv", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+        r.write_csv("t.csv", &["a", "b"], &[vec!["1".into(), "2".into()]])
+            .unwrap();
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
         std::fs::remove_dir_all(&dir).ok();

@@ -54,6 +54,6 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "batched.csv",
         &["driver", "speedup", "best_ms", "virtual_h", "wall_s"],
         &rows,
-    );
+    )?;
     Ok(())
 }

@@ -119,7 +119,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             ]
         })
         .collect();
-    reporter.write_csv("fig1.csv", &["setting", "shape_class", "speedup", "drop"], &rows);
+    reporter.write_csv("fig1.csv", &["setting", "shape_class", "speedup", "drop"], &rows)?;
 
     // Summary: per setting and class, the mean drop in speedup buckets,
     // and the Pareto check the paper's insight rests on.

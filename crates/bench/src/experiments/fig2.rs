@@ -63,7 +63,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "fig2.csv",
         &["threshold", "base", "finetune_seconds", "speedup"],
         &rows,
-    );
+    )?;
     reporter.print_table(
         "Figure 2: fine-tune time vs speedup by mutation base (B1)",
         &["budget", "base", "n", "mean finetune (s)", "mean speedup"],

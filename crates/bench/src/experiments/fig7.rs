@@ -71,7 +71,10 @@ pub(crate) fn run_grid(opts: &ExperimentOpts) -> gmorph::tensor::Result<Vec<Cell
 }
 
 /// Emits Figure 7 and Tables 7/8/9 from grid cells.
-pub(crate) fn report_latency_tables(cells: &[Cell], reporter: &Reporter) {
+pub(crate) fn report_latency_tables(
+    cells: &[Cell],
+    reporter: &Reporter,
+) -> gmorph::tensor::Result<()> {
     let mut csv = Vec::new();
     for c in cells {
         csv.push(vec![
@@ -96,7 +99,7 @@ pub(crate) fn report_latency_tables(cells: &[Cell], reporter: &Reporter) {
             "drop",
         ],
         &csv,
-    );
+    )?;
 
     for (t_idx, &threshold) in [0.0f32, 0.01, 0.02].iter().enumerate() {
         let mut rows = Vec::new();
@@ -149,10 +152,14 @@ pub(crate) fn report_latency_tables(cells: &[Cell], reporter: &Reporter) {
             &rows,
         );
     }
+    Ok(())
 }
 
 /// Emits Table 5 (search time and savings) from grid cells.
-pub(crate) fn report_search_time(cells: &[Cell], reporter: &Reporter) {
+pub(crate) fn report_search_time(
+    cells: &[Cell],
+    reporter: &Reporter,
+) -> gmorph::tensor::Result<()> {
     let mut csv = Vec::new();
     let mut rows = Vec::new();
     let benches: Vec<BenchId> = {
@@ -210,12 +217,13 @@ pub(crate) fn report_search_time(cells: &[Cell], reporter: &Reporter) {
         "table5.csv",
         &["bench", "threshold", "st_gmorph_h", "st_p_h", "st_pr_h"],
         &csv,
-    );
+    )?;
     reporter.print_table(
         "Table 5: search time (virtual hours) and savings from predictive filtering",
         &["bench", "budget", "GMorph", "w P", "saving", "w P+R", "saving"],
         &rows,
     );
+    Ok(())
 }
 
 /// Runs Figure 7 (and Tables 5/7/8/9) end to end.
@@ -223,7 +231,6 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     let reporter = Reporter::new(&opts.out_dir);
     println!("running the B1-B7 x threshold x variant grid ({} iterations each)...", opts.iterations);
     let cells = run_grid(opts)?;
-    report_latency_tables(&cells, &reporter);
-    report_search_time(&cells, &reporter);
-    Ok(())
+    report_latency_tables(&cells, &reporter)?;
+    report_search_time(&cells, &reporter)
 }

@@ -51,7 +51,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "fig8.csv",
         &["threshold", "variant", "iter", "virtual_hours", "best_latency_ms"],
         &csv,
-    );
+    )?;
     reporter.print_table(
         "Figure 8 (endpoints): search time vs best latency on B1",
         &["budget", "variant", "search time (h)", "best latency (ms)", "speedup"],

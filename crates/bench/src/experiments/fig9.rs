@@ -33,6 +33,6 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         out.push_str(&result.best.mini.render());
     }
     println!("{out}");
-    reporter.write_text("fig9.txt", &out);
+    reporter.write_text("fig9.txt", &out)?;
     Ok(())
 }

@@ -85,7 +85,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             "compiled_gmorph_ms",
         ],
         &csv,
-    );
+    )?;
     reporter.print_table(
         "Table 3: Eager (PyTorch-like) vs Fused (TensorRT-like) latency, accuracy drop < 2%",
         &[

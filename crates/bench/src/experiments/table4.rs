@@ -89,7 +89,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "table4.csv",
         &["bench", "all_shared(drop,speedup)", "treemtl(drop,speedup)", "gmorph(drop,speedup)"],
         &csv,
-    );
+    )?;
     reporter.print_table(
         "Table 4: accuracy drop / speedup — MTL baselines vs GMorph @1% budget",
         &["bench", "All-shared", "TreeMTL", "GMorph"],

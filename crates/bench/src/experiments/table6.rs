@@ -44,7 +44,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             ]);
         }
     }
-    reporter.write_csv("table6.csv", &["bench", "model", "metric", "score"], &csv);
+    reporter.write_csv("table6.csv", &["bench", "model", "metric", "score"], &csv)?;
     reporter.print_table(
         "Table 6: teacher models, datasets, and held-out scores",
         &["bench", "model", "dataset", "metric", "score"],

@@ -231,7 +231,6 @@ impl OptimizationConfig {
             seed: self.seed,
             supervisor: SupervisorConfig {
                 max_retries: self.max_retries,
-                candidate_deadline_ms: self.candidate_deadline_ms,
                 // Fault injection comes from the environment only, read
                 // once here at configuration time (the CI fault-smoke
                 // hook, mirroring GMORPH_CRASH_AFTER).
@@ -292,14 +291,13 @@ mod tests {
         };
         let sc = cfg.to_search_config();
         assert_eq!(sc.supervisor.max_retries, 5);
-        assert_eq!(sc.supervisor.candidate_deadline_ms, Some(750));
         assert_eq!(sc.finetune.wall_deadline_ms, Some(750));
         assert_eq!(sc.finetune.health.grad_clip, Some(2.5));
         assert_eq!(sc.finetune.inject, None);
         // The default stays inert so clean runs remain bit-identical.
         let default = OptimizationConfig::default().to_search_config();
         assert_eq!(default.finetune.health.grad_clip, None);
-        assert_eq!(default.supervisor.candidate_deadline_ms, None);
+        assert_eq!(default.finetune.wall_deadline_ms, None);
     }
 
     #[test]

@@ -5,17 +5,29 @@
 //! under a cache directory keyed by architecture, session seed, training
 //! data and training config. The paper's artifact ships pre-trained
 //! `.model` files for the same reason.
+//!
+//! An entry is a checkpoint envelope of kind `teacher`, written atomically
+//! and CRC-checked on load, with two sections: `score`, the test score as
+//! one `f32`, and `weights`, the model's state dict (batch-norm running
+//! statistics included). An entry that fails to load is retrained.
 
 use crate::model::{ModelSpec, SingleTaskModel};
-use crate::train::{train_teacher, TrainConfig, TrainReport};
+use crate::train::{train_teacher, TrainConfig};
 use gmorph_data::dataset::Split;
-use gmorph_tensor::checkpoint::{fnv1a, FNV_OFFSET};
+use gmorph_tensor::checkpoint::{
+    fnv1a, load, save_atomic, ByteReader, ByteWriter, Envelope, FNV_OFFSET,
+};
 use gmorph_tensor::rng::Rng;
-use gmorph_tensor::serialize::{load_state_dict, save_state_dict};
-use gmorph_tensor::{Result, Tensor};
+use gmorph_tensor::serialize::{read_state_dict, write_state_dict};
+use gmorph_tensor::{Result, Tensor, TensorError};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Payload kind of teacher cache entries.
+const TEACHER_KIND: &str = "teacher";
+/// Schema version of teacher cache entries.
+const TEACHER_SCHEMA: u32 = 1;
 
 /// Returns the cache directory (`$GMORPH_CACHE_DIR` or
 /// `target/gmorph-cache`).
@@ -60,11 +72,36 @@ fn cache_path(spec: &ModelSpec, split: &Split, cfg: &TrainConfig, seed: u64) -> 
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect();
     cache_dir().join(format!(
-        "{sane}-{seed}-{:016x}-{:016x}-{:016x}.gmrh",
+        "{sane}-{seed}-{:016x}-{:016x}-{:016x}.gmck",
         fingerprint(spec),
         data_fingerprint(split),
         fnv1a(format!("{cfg:?}").as_bytes(), FNV_OFFSET)
     ))
+}
+
+/// Writes a teacher and its score as a cache entry.
+fn save_entry(path: &Path, model: &SingleTaskModel, score: f32) -> Result<()> {
+    let mut env = Envelope::new(TEACHER_KIND, TEACHER_SCHEMA);
+    let mut w = ByteWriter::new();
+    w.put_f32(score);
+    env.push("score", w.into_bytes());
+    let mut weights = Vec::new();
+    write_state_dict(&mut weights, &model.state_dict())?;
+    env.push("weights", weights);
+    save_atomic(path, &env)
+}
+
+/// Reads a cache entry: the teacher's score and state dict.
+fn read_entry(path: &Path) -> Result<(f32, Vec<(String, Tensor)>)> {
+    let env = load(path, TEACHER_KIND)?;
+    if env.schema != TEACHER_SCHEMA {
+        return Err(TensorError::Io(format!(
+            "checkpoint corrupt: teacher schema v{} unsupported (expected v{TEACHER_SCHEMA})",
+            env.schema
+        )));
+    }
+    let score = ByteReader::new(env.section("score")?).get_f32()?;
+    Ok((score, read_state_dict(&mut env.section("weights")?)?))
 }
 
 /// Loads a cached teacher or trains and caches one.
@@ -78,28 +115,19 @@ pub fn load_or_train(
     seed: u64,
 ) -> Result<(SingleTaskModel, f32)> {
     let path = cache_path(spec, split, cfg, seed);
-    let mut rng = Rng::new(seed ^ fingerprint(spec));
-    let mut model = spec.build(&mut rng)?;
-    if let Ok(entries) = load_state_dict(&path) {
-        if let Some((_, score)) = entries.iter().find(|(k, _)| k == "__score") {
-            let weights: Vec<(String, Tensor)> = entries
-                .iter()
-                .filter(|(k, _)| k != "__score")
-                .cloned()
-                .collect();
-            if model.load_state_dict(&weights).is_ok() {
-                return Ok((model, score.data()[0]));
-            }
+    let init_seed = seed ^ fingerprint(spec);
+    if let Ok((score, weights)) = read_entry(&path) {
+        let mut model = spec.build(&mut Rng::new(init_seed))?;
+        if model.load_state_dict(&weights).is_ok() {
+            return Ok((model, score));
         }
     }
-    let report: TrainReport = train_teacher(&mut model, &split.train, &split.test, task_idx, cfg)?;
-    let mut entries = model.state_dict();
-    entries.push((
-        "__score".to_string(),
-        Tensor::from_vec(&[1], vec![report.final_score])?,
-    ));
+    // Weights that fail to load may have overwritten some blocks first, so
+    // training starts from a fresh build: the result equals a cold run.
+    let mut model = spec.build(&mut Rng::new(init_seed))?;
+    let report = train_teacher(&mut model, &split.train, &split.test, task_idx, cfg)?;
     // Caching is best-effort: a read-only filesystem must not fail training.
-    let _ = save_state_dict(&path, &entries);
+    let _ = save_entry(&path, &model, report.final_score);
     Ok((model, report.final_score))
 }
 
@@ -158,9 +186,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn load_or_train_roundtrips_through_cache() {
-        let dir = std::env::temp_dir().join(format!("gmorph-cache-test-{}", std::process::id()));
+    /// Serializes the tests that point `GMORPH_CACHE_DIR` at their own
+    /// directory.
+    static CACHE_DIR_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Points the cache at an empty directory named by `tag`, and returns
+    /// it with a face-gender split, a VGG-11 spec and a one-epoch config.
+    fn tiny_teacher(tag: &str) -> (PathBuf, Split, ModelSpec, TrainConfig) {
+        let dir = std::env::temp_dir().join(format!("gmorph-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::env::set_var("GMORPH_CACHE_DIR", &dir);
         let mut rng = Rng::new(0);
         let cfg = FacesConfig {
@@ -176,6 +210,13 @@ mod tests {
             lr: 1e-3,
             seed: 0,
         };
+        (dir, split, spec, tc)
+    }
+
+    #[test]
+    fn load_or_train_roundtrips_through_cache() {
+        let _env = CACHE_DIR_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let (dir, split, spec, tc) = tiny_teacher("cache-roundtrip");
         let (m1, s1) = load_or_train(&spec, &split, 0, &tc, 9).unwrap();
         // Second call must hit the cache and return identical weights.
         let (m2, s2) = load_or_train(&spec, &split, 0, &tc, 9).unwrap();
@@ -186,6 +227,63 @@ mod tests {
         let reshuffled = TrainConfig { seed: 1, ..tc };
         let (m3, _) = load_or_train(&spec, &split, 0, &reshuffled, 9).unwrap();
         assert_ne!(m1.state_dict(), m3.state_dict());
+        std::env::remove_var("GMORPH_CACHE_DIR");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_or_foreign_entries_are_rejected_and_retrained() {
+        use gmorph_tensor::checkpoint::is_corruption;
+        let _env = CACHE_DIR_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let (dir, split, spec, tc) = tiny_teacher("cache-corrupt");
+        let (cold, cold_score) = load_or_train(&spec, &split, 0, &tc, 9).unwrap();
+        let path = cache_path(&spec, &split, &tc, 9);
+        let bytes = std::fs::read(&path).unwrap();
+        // Each rejected entry is retrained into the cold run's teacher,
+        // which rewrites the entry byte for byte.
+        let retrains_to_the_cold_teacher = |what: &str| {
+            let (model, score) = load_or_train(&spec, &split, 0, &tc, 9).unwrap();
+            assert_eq!(score.to_bits(), cold_score.to_bits(), "{what}");
+            assert_eq!(model.state_dict(), cold.state_dict(), "{what}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{what}");
+        };
+
+        // Every header byte (magic, format, body length, CRC) and every
+        // 61st body byte.
+        for at in (0..20).chain((20..bytes.len()).step_by(61)) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xA5;
+            std::fs::write(&path, &flipped).unwrap();
+            let err = load(&path, TEACHER_KIND).unwrap_err();
+            assert!(is_corruption(&err), "byte {at}: {err}");
+        }
+        retrains_to_the_cold_teacher("flipped body byte");
+        let mut flipped = bytes.clone();
+        flipped[0] ^= 0xA5;
+        std::fs::write(&path, &flipped).unwrap();
+        retrains_to_the_cold_teacher("flipped header byte");
+
+        // A model file under the entry's name is another subsystem's.
+        let mut foreign = Envelope::decode(&bytes).unwrap();
+        foreign.kind = "model".to_string();
+        save_atomic(&path, &foreign).unwrap();
+        assert!(is_corruption(&load(&path, TEACHER_KIND).unwrap_err()));
+        retrains_to_the_cold_teacher("model-kind envelope");
+
+        // A well-formed entry that holds the trained weights of the first
+        // block only: loading it fails after that block was overwritten.
+        let first_block: Vec<_> = cold
+            .state_dict()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("block0."))
+            .collect();
+        let mut partial = Envelope::decode(&bytes).unwrap();
+        let mut weights = Vec::new();
+        write_state_dict(&mut weights, &first_block).unwrap();
+        partial.sections[1].1 = weights;
+        save_atomic(&path, &partial).unwrap();
+        retrains_to_the_cold_teacher("first block only");
+
         std::env::remove_var("GMORPH_CACHE_DIR");
         std::fs::remove_dir_all(&dir).ok();
     }

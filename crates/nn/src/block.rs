@@ -329,161 +329,6 @@ impl Block {
         n
     }
 
-    /// Per-sample output shape for a per-sample input shape.
-    ///
-    /// Vision shapes are `[C, H, W]`, sequence shapes `[T, D]`, raw token
-    /// inputs `[T]`, and head outputs `[classes]`.
-    pub fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>> {
-        match self {
-            Block::ConvRelu { conv, .. } => conv.out_shape(in_shape),
-            Block::ConvBnRelu { conv, .. } => conv.out_shape(in_shape),
-            Block::Residual { conv1, conv2, .. } => {
-                conv2.out_shape(&conv1.out_shape(in_shape)?)
-            }
-            Block::MaxPool { k, .. } => {
-                if in_shape.len() != 3 || in_shape[1] < *k || in_shape[2] < *k {
-                    return Err(TensorError::InvalidArgument {
-                        op: "MaxPool::out_shape",
-                        msg: format!("cannot pool {in_shape:?} by {k}"),
-                    });
-                }
-                Ok(vec![in_shape[0], in_shape[1] / k, in_shape[2] / k])
-            }
-            Block::Transformer { attn, .. } => {
-                if in_shape.len() != 2 || in_shape[1] != attn.width() {
-                    return Err(TensorError::InvalidArgument {
-                        op: "Transformer::out_shape",
-                        msg: format!("expected [T, {}], got {in_shape:?}", attn.width()),
-                    });
-                }
-                Ok(in_shape.to_vec())
-            }
-            Block::PatchEmbedB(pe) => {
-                if in_shape.len() != 3
-                    || in_shape[0] != pe.proj.in_channels()
-                    || !in_shape[1].is_multiple_of(pe.patch)
-                    || !in_shape[2].is_multiple_of(pe.patch)
-                {
-                    return Err(TensorError::InvalidArgument {
-                        op: "PatchEmbed::out_shape",
-                        msg: format!("cannot patchify {in_shape:?}"),
-                    });
-                }
-                let t = (in_shape[1] / pe.patch) * (in_shape[2] / pe.patch);
-                if t != pe.tokens() {
-                    return Err(TensorError::InvalidArgument {
-                        op: "PatchEmbed::out_shape",
-                        msg: format!("token count {t} != table {}", pe.tokens()),
-                    });
-                }
-                Ok(vec![t, pe.width()])
-            }
-            Block::TokenEmbedB(te) => {
-                if in_shape.len() != 1 {
-                    return Err(TensorError::RankMismatch {
-                        op: "TokenEmbed::out_shape",
-                        expected: 1,
-                        actual: in_shape.len(),
-                    });
-                }
-                Ok(vec![in_shape[0], te.width()])
-            }
-            Block::Head { linear, .. } => {
-                let features = match in_shape.len() {
-                    3 => in_shape[0],
-                    2 => in_shape[1],
-                    _ => {
-                        return Err(TensorError::InvalidArgument {
-                            op: "Head::out_shape",
-                            msg: format!("unsupported head input {in_shape:?}"),
-                        })
-                    }
-                };
-                if features != linear.in_features() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "Head::out_shape",
-                        lhs: format!("[{}]", linear.in_features()),
-                        rhs: format!("{in_shape:?}"),
-                    });
-                }
-                Ok(vec![linear.out_features()])
-            }
-            Block::Rescale { target, .. } => {
-                if in_shape.len() != target.len() {
-                    return Err(TensorError::RankMismatch {
-                        op: "Rescale::out_shape",
-                        expected: target.len(),
-                        actual: in_shape.len(),
-                    });
-                }
-                Ok(target.clone())
-            }
-        }
-    }
-
-    /// Approximate FLOPs for one sample with the given input shape.
-    pub fn flops(&self, in_shape: &[usize]) -> Result<u64> {
-        let numel = |s: &[usize]| s.iter().product::<usize>() as u64;
-        Ok(match self {
-            Block::ConvRelu { conv, .. } => {
-                let out = conv.out_shape(in_shape)?;
-                conv_flops(conv, &out) + numel(&out)
-            }
-            Block::ConvBnRelu { conv, .. } => {
-                let out = conv.out_shape(in_shape)?;
-                conv_flops(conv, &out) + 3 * numel(&out)
-            }
-            Block::Residual {
-                conv1,
-                conv2,
-                down,
-                ..
-            } => {
-                let mid = conv1.out_shape(in_shape)?;
-                let out = conv2.out_shape(&mid)?;
-                let mut f = conv_flops(conv1, &mid) + conv_flops(conv2, &out) + 5 * numel(&out);
-                if let Some((dc, _)) = down {
-                    f += conv_flops(dc, &out) + 2 * numel(&out);
-                }
-                f
-            }
-            Block::MaxPool { .. } => numel(in_shape),
-            Block::Transformer { fc1, fc2, .. } => {
-                let (t, d) = (in_shape[0] as u64, in_shape[1] as u64);
-                let qkv = 4 * 2 * t * d * d; // Wq, Wk, Wv, Wo.
-                let scores = 2 * 2 * t * t * d; // QKᵀ and A·V.
-                let mlp = 2 * t * d * fc1.out_features() as u64
-                    + 2 * t * fc2.in_features() as u64 * d;
-                qkv + scores + mlp + 8 * t * d
-            }
-            Block::PatchEmbedB(pe) => {
-                let out = vec![pe.tokens(), pe.width()];
-                let k = pe.patch as u64;
-                2 * numel(&out) * pe.proj.in_channels() as u64 * k * k + numel(&out)
-            }
-            Block::TokenEmbedB(te) => 2 * in_shape[0] as u64 * te.width() as u64,
-            Block::Head { linear, .. } => {
-                numel(in_shape) + 2 * (linear.in_features() * linear.out_features()) as u64
-            }
-            Block::Rescale { target, proj, .. } => {
-                let mut f = 4 * numel(target);
-                match proj {
-                    Some(RescaleProj::Conv(c)) => {
-                        f += 2 * numel(&target[1..])
-                            * c.in_channels() as u64
-                            * c.out_channels() as u64;
-                    }
-                    Some(RescaleProj::Linear(l)) => {
-                        f += 2 * target[0] as u64
-                            * (l.in_features() * l.out_features()) as u64;
-                    }
-                    None => {}
-                }
-                f
-            }
-        })
-    }
-
     // ------------------------------------------------------------------
     // Forward / backward
     // ------------------------------------------------------------------
@@ -1110,50 +955,6 @@ impl Block {
             }
         }
     }
-
-    /// Short human-readable description used by graph visualization.
-    pub fn describe(&self) -> String {
-        match self {
-            Block::ConvRelu { conv, .. } => format!(
-                "Conv+ReLU({}→{})",
-                conv.in_channels(),
-                conv.out_channels()
-            ),
-            Block::ConvBnRelu { conv, .. } => format!(
-                "Conv+BN+ReLU({}→{},s{})",
-                conv.in_channels(),
-                conv.out_channels(),
-                conv.geom.stride
-            ),
-            Block::Residual { conv1, .. } => format!(
-                "ResidualBlock({}→{},s{})",
-                conv1.in_channels(),
-                conv1.out_channels(),
-                conv1.geom.stride
-            ),
-            Block::MaxPool { k, .. } => format!("MaxPool({k}x{k})"),
-            Block::Transformer { attn, .. } => {
-                format!("Encoder(d={},h={})", attn.width(), attn.heads)
-            }
-            Block::PatchEmbedB(pe) => {
-                format!("PatchEmbed(p={},d={})", pe.patch, pe.width())
-            }
-            Block::TokenEmbedB(te) => {
-                format!("TokenEmbed(v={},d={})", te.vocab(), te.width())
-            }
-            Block::Head { linear, .. } => format!(
-                "Head({}→{})",
-                linear.in_features(),
-                linear.out_features()
-            ),
-            Block::Rescale { target, .. } => format!("Rescale(→{target:?})"),
-        }
-    }
-}
-
-fn conv_flops(conv: &Conv2d, out_shape: &[usize]) -> u64 {
-    let k = conv.geom.kernel as u64;
-    2 * out_shape.iter().product::<usize>() as u64 * conv.in_channels() as u64 * k * k
 }
 
 fn no_cache(which: &'static str) -> TensorError {
@@ -1205,7 +1006,7 @@ mod tests {
     fn conv_relu_shapes_and_grad() {
         let mut rng = Rng::new(0);
         let mut b = Block::conv_relu(2, 4, &mut rng).unwrap();
-        assert_eq!(b.out_shape(&[2, 6, 6]).unwrap(), vec![4, 6, 6]);
+        assert_eq!(b.spec().out_shape(&[2, 6, 6]).unwrap(), vec![4, 6, 6]);
         assert_eq!(b.op_type(), OpType::Conv);
         let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
         gradcheck_block(&mut b, &x, 0.08);
@@ -1223,9 +1024,9 @@ mod tests {
     fn residual_block_shapes() {
         let mut rng = Rng::new(2);
         let same = Block::residual(8, 8, 1, &mut rng).unwrap();
-        assert_eq!(same.out_shape(&[8, 8, 8]).unwrap(), vec![8, 8, 8]);
+        assert_eq!(same.spec().out_shape(&[8, 8, 8]).unwrap(), vec![8, 8, 8]);
         let down = Block::residual(8, 16, 2, &mut rng).unwrap();
-        assert_eq!(down.out_shape(&[8, 8, 8]).unwrap(), vec![16, 4, 4]);
+        assert_eq!(down.spec().out_shape(&[8, 8, 8]).unwrap(), vec![16, 4, 4]);
         // No projection when shape is preserved.
         if let Block::Residual { down: d, .. } = &same {
             assert!(d.is_none());
@@ -1258,7 +1059,7 @@ mod tests {
             };
             let (with_gx, with) = grads(true);
             let (without_gx, without) = grads(false);
-            let what = block.describe();
+            let what = block.spec().describe();
             assert_eq!(with_gx.unwrap().dims(), x.dims(), "{what}");
             let conv_first = !matches!(block, Block::MaxPool { .. });
             assert_eq!(without_gx.is_none(), conv_first, "{what}");
@@ -1279,7 +1080,7 @@ mod tests {
     fn maxpool_block() {
         let mut rng = Rng::new(4);
         let mut b = Block::maxpool(2);
-        assert_eq!(b.out_shape(&[3, 8, 8]).unwrap(), vec![3, 4, 4]);
+        assert_eq!(b.spec().out_shape(&[3, 8, 8]).unwrap(), vec![3, 4, 4]);
         assert_eq!(b.capacity(), 0);
         let x = Tensor::randn(&[1, 1, 4, 4], 1.0, &mut rng);
         gradcheck_block(&mut b, &x, 0.05);
@@ -1289,7 +1090,7 @@ mod tests {
     fn transformer_block_grad() {
         let mut rng = Rng::new(5);
         let mut b = Block::transformer(4, 2, &mut rng).unwrap();
-        assert_eq!(b.out_shape(&[3, 4]).unwrap(), vec![3, 4]);
+        assert_eq!(b.spec().out_shape(&[3, 4]).unwrap(), vec![3, 4]);
         let x = Tensor::randn(&[1, 3, 4], 0.5, &mut rng);
         gradcheck_block(&mut b, &x, 0.15);
     }
@@ -1298,23 +1099,23 @@ mod tests {
     fn head_vision_and_seq() {
         let mut rng = Rng::new(6);
         let mut hv = Block::head(4, 3, &mut rng);
-        assert_eq!(hv.out_shape(&[4, 5, 5]).unwrap(), vec![3]);
+        assert_eq!(hv.spec().out_shape(&[4, 5, 5]).unwrap(), vec![3]);
         let x = Tensor::randn(&[2, 4, 3, 3], 1.0, &mut rng);
         gradcheck_block(&mut hv, &x, 0.05);
 
         let mut hs = Block::head(4, 2, &mut rng);
-        assert_eq!(hs.out_shape(&[7, 4]).unwrap(), vec![2]);
+        assert_eq!(hs.spec().out_shape(&[7, 4]).unwrap(), vec![2]);
         let xs = Tensor::randn(&[2, 3, 4], 1.0, &mut rng);
         gradcheck_block(&mut hs, &xs, 0.05);
 
-        assert!(hs.out_shape(&[5, 5]).is_err());
+        assert!(hs.spec().out_shape(&[5, 5]).is_err());
     }
 
     #[test]
     fn rescale_vision_grad() {
         let mut rng = Rng::new(7);
         let mut b = Block::rescale(&[2, 4, 4], &[3, 6, 6], &mut rng).unwrap();
-        assert_eq!(b.out_shape(&[2, 4, 4]).unwrap(), vec![3, 6, 6]);
+        assert_eq!(b.spec().out_shape(&[2, 4, 4]).unwrap(), vec![3, 6, 6]);
         let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
         gradcheck_block(&mut b, &x, 0.08);
     }
@@ -1323,7 +1124,7 @@ mod tests {
     fn rescale_seq_grad() {
         let mut rng = Rng::new(8);
         let mut b = Block::rescale(&[4, 6], &[6, 4], &mut rng).unwrap();
-        assert_eq!(b.out_shape(&[4, 6]).unwrap(), vec![6, 4]);
+        assert_eq!(b.spec().out_shape(&[4, 6]).unwrap(), vec![6, 4]);
         let x = Tensor::randn(&[2, 4, 6], 1.0, &mut rng);
         gradcheck_block(&mut b, &x, 0.08);
     }
@@ -1341,10 +1142,10 @@ mod tests {
     fn patch_and_token_embed_shapes() {
         let mut rng = Rng::new(10);
         let pe = Block::patch_embed(3, 8, 4, 16, &mut rng).unwrap();
-        assert_eq!(pe.out_shape(&[3, 8, 8]).unwrap(), vec![4, 16]);
-        assert!(pe.out_shape(&[3, 7, 8]).is_err());
+        assert_eq!(pe.spec().out_shape(&[3, 8, 8]).unwrap(), vec![4, 16]);
+        assert!(pe.spec().out_shape(&[3, 7, 8]).is_err());
         let te = Block::token_embed(32, 8, 16, &mut rng);
-        assert_eq!(te.out_shape(&[10]).unwrap(), vec![10, 8]);
+        assert_eq!(te.spec().out_shape(&[10]).unwrap(), vec![10, 8]);
     }
 
     #[test]
@@ -1360,8 +1161,8 @@ mod tests {
     fn flops_increase_with_input_size() {
         let mut rng = Rng::new(12);
         let b = Block::conv_relu(4, 8, &mut rng).unwrap();
-        let small = b.flops(&[4, 8, 8]).unwrap();
-        let large = b.flops(&[4, 16, 16]).unwrap();
+        let small = b.spec().flops(&[4, 8, 8]).unwrap();
+        let large = b.spec().flops(&[4, 16, 16]).unwrap();
         assert_eq!(large, small * 4);
     }
 
@@ -1435,7 +1236,7 @@ mod tests {
             b.clear_cache();
             // Backward after clearing must error (cache really dropped).
             let g = Tensor::ones(&[1]);
-            assert!(b.backward(&g).is_err(), "{}", b.describe());
+            assert!(b.backward(&g).is_err(), "{}", b.spec().describe());
         }
     }
 
@@ -1459,7 +1260,7 @@ mod tests {
     fn describe_is_informative() {
         let mut rng = Rng::new(15);
         let b = Block::residual(8, 16, 2, &mut rng).unwrap();
-        assert!(b.describe().contains("Residual"));
-        assert!(b.describe().contains("16"));
+        assert!(b.spec().describe().contains("Residual"));
+        assert!(b.spec().describe().contains("16"));
     }
 }

@@ -11,7 +11,7 @@ use gmorph_tensor::conv::{
 };
 use gmorph_tensor::ops::Activation;
 use gmorph_tensor::rng::Rng;
-use gmorph_tensor::{Result, Tensor, TensorError};
+use gmorph_tensor::{Result, Tensor};
 
 /// A 2D convolution layer over NCHW tensors.
 #[derive(Debug, Clone)]
@@ -111,29 +111,6 @@ impl Conv2d {
         Ok(gx)
     }
 
-    /// Output per-sample shape `[C, H, W]` for an input per-sample shape.
-    pub fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>> {
-        if in_shape.len() != 3 {
-            return Err(TensorError::RankMismatch {
-                op: "Conv2d::out_shape",
-                expected: 3,
-                actual: in_shape.len(),
-            });
-        }
-        if in_shape[0] != self.in_channels() {
-            return Err(TensorError::ShapeMismatch {
-                op: "Conv2d::out_shape",
-                lhs: format!("[{}, _, _]", self.in_channels()),
-                rhs: format!("[{}, {}, {}]", in_shape[0], in_shape[1], in_shape[2]),
-            });
-        }
-        Ok(vec![
-            self.out_channels(),
-            self.geom.out_size(in_shape[1])?,
-            self.geom.out_size(in_shape[2])?,
-        ])
-    }
-
     /// Visits the layer's parameters.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         f(&mut self.weight);
@@ -167,15 +144,15 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 8, 8]);
         let y = c.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
-        assert_eq!(c.out_shape(&[3, 8, 8]).unwrap(), vec![8, 8, 8]);
-        assert!(c.out_shape(&[4, 8, 8]).is_err());
+        assert!(c.forward(&Tensor::ones(&[2, 4, 8, 8]), Mode::Eval).is_err());
     }
 
     #[test]
     fn strided_conv_halves_spatial() {
         let mut rng = Rng::new(0);
-        let c = Conv2d::new(4, 8, 3, 2, 1, &mut rng).unwrap();
-        assert_eq!(c.out_shape(&[4, 8, 8]).unwrap(), vec![8, 4, 4]);
+        let mut c = Conv2d::new(4, 8, 3, 2, 1, &mut rng).unwrap();
+        let y = c.forward(&Tensor::ones(&[1, 4, 8, 8]), Mode::Eval).unwrap();
+        assert_eq!(y.dims(), &[1, 8, 4, 4]);
     }
 
     #[test]

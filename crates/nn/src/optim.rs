@@ -38,19 +38,6 @@ impl Optim {
         self.t += 1;
     }
 
-    /// The bias-correction step counter.
-    ///
-    /// Checkpointed alongside the per-parameter moments: a resumed run
-    /// must continue the bias-correction schedule where it left off.
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
-    /// Restores the step counter from a checkpoint.
-    pub fn set_step_count(&mut self, steps: u64) {
-        self.t = steps;
-    }
-
     /// Applies the update rule to one parameter and zeroes its gradient.
     pub fn update(&self, p: &mut Parameter) {
         let Optim {

@@ -47,9 +47,7 @@ use gmorph_tensor::{Result, TensorError};
 use std::path::Path;
 use std::sync::OnceLock;
 
-pub use gmorph_tensor::checkpoint::{
-    load_latest, CheckpointManager, CheckpointOptions, CrashKind,
-};
+pub use gmorph_tensor::checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
 
 /// Payload kind of search snapshots.
 pub const SEARCH_KIND: &str = "search";
@@ -91,7 +89,9 @@ pub fn config_fingerprint(cfg: &SearchConfig, mini: &AbsGraph, paper: &AbsGraph)
 /// written here as literals: `task_weights`, the health
 /// `divergence_threshold` and `policy`, `virtual_samples`, and the
 /// supervisor's `virtual_deadline_hours`, `lr_backoff` and
-/// `pool_byte_budget`. Each remaining value is written with `{:?}`, as
+/// `pool_byte_budget`. The supervisor's `candidate_deadline_ms` slot
+/// repeats `wall_deadline_ms`: the lowering set both fields to the one
+/// deadline. Each remaining value is written with `{:?}`, as
 /// the derive did, so renaming a variant of `Objective`, `PolicyKind`,
 /// `PairPolicy` or `FaultKind`, or a field of `FaultSpec`, also orphans
 /// every snapshot.
@@ -134,7 +134,7 @@ fn write_config_text(w: &mut impl std::fmt::Write, cfg: &SearchConfig) -> std::f
          supervisor: SupervisorConfig {{ max_retries: {:?}, candidate_deadline_ms: {:?}, \
          virtual_deadline_hours: None, lr_backoff: 0.5, pool_byte_budget: None, \
          fault: {:?} }} }}",
-        cfg.virtual_throughput, cfg.seed, s.max_retries, s.candidate_deadline_ms, s.fault,
+        cfg.virtual_throughput, cfg.seed, s.max_retries, f.wall_deadline_ms, s.fault,
     )
 }
 

@@ -9,7 +9,7 @@
 //!
 //! - every attempt runs under `catch_unwind`, so a panicking candidate is
 //!   caught and classified as [`FailureKind::Panic`],
-//! - a wall-clock deadline ([`SupervisorConfig::candidate_deadline_ms`]) is
+//! - a wall-clock deadline ([`FinetuneConfig::wall_deadline_ms`]) is
 //!   enforced both inside the fine-tune loop (epoch granularity) and as a
 //!   post-check here,
 //! - *transient* failures (panic, non-finite) are retried up to
@@ -58,10 +58,6 @@ pub struct SupervisorConfig {
     /// Bounded retry attempts after the first try (transient failures
     /// only).
     pub max_retries: usize,
-    /// Per-attempt wall-clock deadline in milliseconds. `None` (default)
-    /// disables the check: wall-clock outcomes are machine-dependent, so
-    /// enabling it trades bit-exact resume for liveness.
-    pub candidate_deadline_ms: Option<u64>,
     /// Fault injection (from `GMORPH_FAULT`): poisons the candidate at the
     /// configured iteration on *every* attempt — a faulty graph stays
     /// faulty, which is what drives it into quarantine.
@@ -72,7 +68,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            candidate_deadline_ms: None,
             fault: None,
         }
     }
@@ -148,7 +143,6 @@ pub(crate) fn evaluate_supervised(
         if attempt > 0 {
             cfg.lr = finetune.lr * LR_BACKOFF.powi(attempt as i32);
         }
-        cfg.wall_deadline_ms = cfg.wall_deadline_ms.or(sup.candidate_deadline_ms);
         if let Some(fault) = sup.fault {
             if fault.at_iter == iter {
                 cfg.inject = Some(fault.kind);
@@ -188,7 +182,7 @@ pub(crate) fn evaluate_supervised(
         let outcome = match outcome {
             Ok(eval) => {
                 let elapsed_ms = started.elapsed().as_millis() as u64;
-                match sup.candidate_deadline_ms {
+                match cfg.wall_deadline_ms {
                     Some(limit) if elapsed_ms > limit => Err(error::timeout(
                         "supervisor::evaluate",
                         format!("attempt {attempt} took {elapsed_ms}ms, deadline {limit}ms"),
@@ -354,7 +348,6 @@ mod tests {
                 kind: FaultKind::PanicEval,
                 at_iter: 2,
             }),
-            ..Default::default()
         };
         let mut rng = Rng::new(1);
         let report = evaluate_supervised(
@@ -369,16 +362,19 @@ mod tests {
     fn slow_candidate_times_out_without_retry() {
         let (cand, weights, mode) = test_candidate();
         let sup = SupervisorConfig {
-            candidate_deadline_ms: Some(1),
             fault: Some(FaultSpec {
                 kind: FaultKind::SlowCandidate,
                 at_iter: 5,
             }),
             ..Default::default()
         };
+        let finetune = FinetuneConfig {
+            wall_deadline_ms: Some(1),
+            ..cfg()
+        };
         let mut rng = Rng::new(1);
         let report = evaluate_supervised(
-            &mode, &cand, &weights, &cfg(), &sup, 7, 5, &mut rng, 42,
+            &mode, &cand, &weights, &finetune, &sup, 7, 5, &mut rng, 42,
         )
         .unwrap_err();
         assert_eq!(report.kind, FailureKind::Timeout);

@@ -1,9 +1,9 @@
 //! Crash-safe checkpoint container: a versioned, checksummed, atomic
 //! on-disk envelope for snapshot payloads.
 //!
-//! Higher layers (search state, fine-tuning state) serialize themselves
-//! into named binary *sections*; this module owns everything that makes
-//! the result durable and trustworthy:
+//! Higher layers (search snapshots, model files, cached teachers) serialize
+//! themselves into named binary *sections*; this module owns everything that
+//! makes the result durable and trustworthy:
 //!
 //! ```text
 //! file    := magic(u32="GMCP") format(u32) body_len(u64) crc32(u32) body
@@ -308,7 +308,7 @@ impl<'a> ByteReader<'a> {
 /// A decoded checkpoint: payload identity plus named sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
-    /// Payload kind (e.g. `"search"`, `"batched"`, `"teacher"`).
+    /// Payload kind: `"search"`, `"model"` or `"teacher"`.
     pub kind: String,
     /// Payload schema version, owned by the writer of `kind`.
     pub schema: u32,
@@ -465,7 +465,7 @@ pub fn load(path: &Path, kind: &str) -> Result<Envelope> {
 }
 
 // ---------------------------------------------------------------------
-// Durability schedule, rotation, crash hooks, and fallback loading
+// Durability schedule, rotation and crash hooks
 // ---------------------------------------------------------------------
 
 /// How a checkpointed run simulates a crash (test/CI hook).
@@ -479,7 +479,7 @@ pub enum CrashKind {
     Abort,
 }
 
-/// Checkpointing configuration for a search or fine-tuning run.
+/// Checkpointing configuration for a search run.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
     /// Directory snapshots are written into (created on demand).
@@ -653,38 +653,6 @@ pub fn snapshot_files(dir: &Path, prefix: &str) -> Vec<(usize, std::path::PathBu
         .collect();
     found.sort_by_key(|e| std::cmp::Reverse(e.0));
     found
-}
-
-/// Loads the newest valid snapshot envelope of `kind` from `dir`.
-///
-/// Corrupt or unreadable snapshots are skipped (each logging a
-/// `checkpoint.corrupt` telemetry event) and the next-newest is tried;
-/// `Ok(None)` means no valid snapshot exists — callers start clean.
-pub fn load_latest(dir: &Path, prefix: &str, kind: &str) -> Result<Option<Envelope>> {
-    for (iter, path) in snapshot_files(dir, prefix) {
-        match load(&path, kind) {
-            Ok(env) => {
-                gmorph_telemetry::counter!("checkpoint.load");
-                gmorph_telemetry::point!(
-                    "checkpoint.loaded",
-                    iter = iter,
-                    path = path.display().to_string().as_str()
-                );
-                return Ok(Some(env));
-            }
-            Err(err) => {
-                gmorph_telemetry::counter!("checkpoint.corrupt");
-                gmorph_telemetry::point!(
-                    "checkpoint.rejected",
-                    iter = iter,
-                    path = path.display().to_string().as_str(),
-                    corruption = is_corruption(&err),
-                    error = err.to_string().as_str()
-                );
-            }
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! A tiny binary format for persisting tensors and weight maps.
+//! A tiny binary format for tensors and weight maps.
 //!
-//! GMorph caches trained teacher models and elite-candidate weights (the
-//! paper's History Database persists "abstract graphs and model weights").
-//! The format is deliberately simple:
+//! Cached teachers and model records (model files, search snapshots) store
+//! their weights in this format, always inside a checkpoint envelope, which
+//! adds the CRC and the atomic write. The format is deliberately simple:
 //!
 //! ```text
-//! file   := magic(u32=0x474D5248 "GMRH") version(u32) count(u32) entry*
+//! dict   := magic(u32=0x474D5248 "GMRH") version(u32) count(u32) entry*
 //! entry  := name_len(u32) name(utf8) tensor
 //! tensor := rank(u32) dims(u64 * rank) data(f32-le * numel)
 //! ```
@@ -132,21 +132,6 @@ pub fn read_state_dict(r: &mut impl Read) -> Result<Vec<(String, Tensor)>> {
     Ok(out)
 }
 
-/// Saves a state dict to a file, creating parent directories.
-pub fn save_state_dict(path: &std::path::Path, entries: &[(String, Tensor)]) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(io_err)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).map_err(io_err)?);
-    write_state_dict(&mut f, entries)
-}
-
-/// Loads a state dict from a file.
-pub fn load_state_dict(path: &std::path::Path) -> Result<Vec<(String, Tensor)>> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path).map_err(io_err)?);
-    read_state_dict(&mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,17 +197,6 @@ mod tests {
             read_tensor(&mut zero.as_slice()),
             Err(TensorError::Io(_))
         ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("gmorph-test-serialize");
-        let path = dir.join("weights.gmrh");
-        let entries = vec![("w".to_string(), Tensor::ones(&[3, 3]))];
-        save_state_dict(&path, &entries).unwrap();
-        let back = load_state_dict(&path).unwrap();
-        assert_eq!(entries, back);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     proptest! {

@@ -5,7 +5,7 @@
 use gmorph::models::cache::load_or_train;
 use gmorph::models::train::TrainConfig;
 use gmorph::prelude::*;
-use gmorph::tensor::serialize::{read_state_dict, save_state_dict, write_state_dict};
+use gmorph::tensor::serialize::{read_state_dict, write_state_dict};
 
 #[test]
 fn corrupted_cache_files_fall_back_to_training() {
@@ -111,14 +111,7 @@ fn nan_inputs_do_not_crash_inference() {
 
 #[test]
 fn saving_into_unwritable_location_is_nonfatal_for_cache() {
-    // save_state_dict itself errors...
-    let entries = vec![("w".to_string(), Tensor::ones(&[2]))];
-    assert!(save_state_dict(
-        std::path::Path::new("/proc/definitely/not/writable/x.gmrh"),
-        &entries
-    )
-    .is_err());
-    // ...but load_or_train treats caching as best-effort.
+    // load_or_train treats caching as best-effort.
     std::env::set_var("GMORPH_CACHE_DIR", "/proc/definitely/not/writable");
     let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), 904).unwrap();
     let mut rng = Rng::new(904);

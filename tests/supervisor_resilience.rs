@@ -163,7 +163,7 @@ fn slow_candidate_times_out_and_is_quarantined() {
         at_iter: fault_iter,
     });
     // The injected stall sleeps 30ms; a 5ms deadline must catch it.
-    cfg.supervisor.candidate_deadline_ms = Some(5);
+    cfg.finetune.wall_deadline_ms = Some(5);
 
     let guard = install_test_sink();
     let faulted = run(&session, &mode, &cfg);
