@@ -98,7 +98,7 @@ mod tests {
     use crate::engine;
     use crate::gemm;
     use crate::grid::{GOLDEN_BATCHES, GOLDEN_GEOMS, SIZES};
-    use crate::ops::Activation;
+    use crate::ops::{self, Activation};
     use crate::rng::Rng;
     use crate::Tensor;
     use std::cell::Cell;
@@ -216,5 +216,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gelu_instances_are_bit_identical() {
+        // Normal inputs, a length that leaves a vector tail, and the edge
+        // values where the exp selects pick ∞ or 0.
+        let mut rng = Rng::new(0x6E1);
+        let mut xs = Tensor::randn(&[4001], 4.0, &mut rng).data().to_vec();
+        let inf = f32::INFINITY;
+        xs.extend([0.0, -0.0, 1e30, -1e30, 90.0, -90.0, inf, -inf]);
+        let x = Tensor::from_vec(&[xs.len()], xs).unwrap();
+        let g = Tensor::randn(x.dims(), 1.0, &mut rng);
+        let run = || vec![ops::gelu_forward(&x), ops::gelu_backward(&g, &x).unwrap()];
+        let Some((portable, avx2)) = both(run) else {
+            return skipped();
+        };
+        assert!(portable[0] == avx2[0], "gelu_forward differs");
+        assert!(portable[1] == avx2[1], "gelu_backward differs");
     }
 }

@@ -314,7 +314,7 @@ impl Tensor {
         Tensor::from_vec(&dims, data)
     }
 
-    fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {
+    pub(crate) fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<()> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
                 op,
