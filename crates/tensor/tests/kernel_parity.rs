@@ -10,10 +10,14 @@
 //! The conv golden test pins CRC-32 hashes of the exact bit patterns of
 //! every conv output and gradient over the geometries the model zoo builds
 //! at mini scale: any change to the lowering that reorders a single
-//! floating-point sum shows up as a hash mismatch.
+//! floating-point sum shows up as a hash mismatch. The GELU golden test
+//! does the same for GELU's passes, its GEMM epilogue and one B7 transformer
+//! block, whose bits rest on the in-tree `exp` and on no libm.
 
+use gmorph_nn::{Block, Mode};
 use gmorph_tensor::checkpoint::crc32;
 use gmorph_tensor::conv::{conv2d_backward_geom, conv2d_forward, Conv2dGeom};
+use gmorph_tensor::ops::{gelu_backward, gelu_forward, Activation};
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{engine, gemm, Tensor};
 use proptest::prelude::*;
@@ -243,4 +247,47 @@ fn conv_outputs_and_gradients_match_golden_hashes() {
         }
         panic!("conv bit patterns changed; actual hashes:\n{table}");
     }
+}
+
+/// Golden hashes of GELU forward and backward over `[192, 192]`, the GELU
+/// GEMM epilogue of a `[192, 48] → 192` linear layer, and a B7 BERT-Large
+/// transformer block (d = 48, 4 heads, 12 tokens) at the teacher-training
+/// batch of 32: its output, input gradient and parameter gradients.
+const GELU_GOLDEN_HASHES: [u32; 6] = [
+    0xff650456, 0xb9ba6e16, 0x8563e201, 0x808f600a, 0x7a13d50c, 0xdddee964,
+];
+
+#[test]
+fn gelu_and_transformer_block_match_golden_hashes() {
+    let mut rng = Rng::new(0x6E1);
+    let x = Tensor::randn(&[192, 192], 2.0, &mut rng);
+    let g = Tensor::randn(&[192, 192], 1.0, &mut rng);
+    let h = Tensor::randn(&[192, 48], 1.0, &mut rng);
+    let w = Tensor::randn(&[192, 48], 0.3, &mut rng);
+    let bias = Tensor::randn(&[192], 0.1, &mut rng);
+    let epilogue = gemm::matmul_nt_bias_act(&h, &w, Some(&bias), Activation::Gelu).unwrap();
+
+    let mut block = Block::transformer(48, 4, &mut rng).unwrap();
+    let xb = Tensor::randn(&[32, 12, 48], 1.0, &mut rng);
+    let y = block.forward(&xb, Mode::Train).unwrap();
+    let gy = Tensor::randn(y.dims(), 1.0, &mut rng);
+    let gx = block.backward(&gy).unwrap();
+    let mut grads = Vec::new();
+    block.visit_params(&mut |p| grads.extend_from_slice(p.grad.data()));
+    let grads = Tensor::from_vec(&[grads.len()], grads).unwrap();
+
+    let actual = [
+        bits_hash(&gelu_forward(&x)),
+        bits_hash(&gelu_backward(&g, &x).unwrap()),
+        bits_hash(&epilogue),
+        bits_hash(&y),
+        bits_hash(&gx),
+        bits_hash(&grads),
+    ];
+    let table: Vec<String> = actual.iter().map(|h| format!("0x{h:08x}")).collect();
+    assert!(
+        actual == GELU_GOLDEN_HASHES,
+        "GELU bit patterns changed; actual hashes: [{}]",
+        table.join(", ")
+    );
 }
