@@ -14,6 +14,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use gmorph::graph::persist::encode_model_bytes;
 use gmorph::models::train::TrainConfig;
@@ -22,6 +23,10 @@ use gmorph::search::driver::run_search_checkpointed;
 use gmorph::search::evaluator::EvalMode;
 use gmorph::search::{CheckpointOptions, CrashKind};
 use gmorph::tensor::engine;
+
+/// Held by every test that sets `GMORPH_CACHE_DIR`, from `set_var` to its
+/// end, so no two of them move the variable under each other.
+static CACHE_DIR_ENV: Mutex<()> = Mutex::new(());
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gmorph-resume-{tag}-{}", std::process::id()));
@@ -258,6 +263,7 @@ fn a_schema_v2_snapshot_resumes_bit_identically() {
     // The CLI's session: standard data, default teachers (trained afresh
     // into a private cache, as on a clean CI runner).
     let cache = scratch_dir("v2-teachers");
+    let _env = CACHE_DIR_ENV.lock().unwrap_or_else(PoisonError::into_inner);
     std::env::set_var("GMORPH_CACHE_DIR", &cache);
     let bench = build_benchmark(BenchId::B1, &DataProfile::standard(), 7).unwrap();
     let session = Session::prepare(

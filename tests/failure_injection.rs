@@ -6,12 +6,26 @@ use gmorph::models::cache::load_or_train;
 use gmorph::models::train::TrainConfig;
 use gmorph::prelude::*;
 use gmorph::tensor::serialize::{read_state_dict, write_state_dict};
+use std::ffi::OsStr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that point `GMORPH_CACHE_DIR` somewhere. Without
+/// it, one test can move the variable between another's `set_var` and its
+/// first training, so that test caches nothing where it looks.
+static CACHE_DIR_ENV: Mutex<()> = Mutex::new(());
+
+/// Points `GMORPH_CACHE_DIR` at `dir`; hold the guard to the end of the test.
+fn set_cache_dir(dir: impl AsRef<OsStr>) -> MutexGuard<'static, ()> {
+    let guard = CACHE_DIR_ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    std::env::set_var("GMORPH_CACHE_DIR", dir);
+    guard
+}
 
 #[test]
 fn corrupted_cache_files_fall_back_to_training() {
     let dir = std::env::temp_dir().join(format!("gmorph-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("GMORPH_CACHE_DIR", &dir);
+    let _env = set_cache_dir(&dir);
 
     let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), 901).unwrap();
     let mut rng = Rng::new(901);
@@ -112,7 +126,7 @@ fn nan_inputs_do_not_crash_inference() {
 #[test]
 fn saving_into_unwritable_location_is_nonfatal_for_cache() {
     // load_or_train treats caching as best-effort.
-    std::env::set_var("GMORPH_CACHE_DIR", "/proc/definitely/not/writable");
+    let _env = set_cache_dir("/proc/definitely/not/writable");
     let bench = build_benchmark(BenchId::B1, &DataProfile::smoke(), 904).unwrap();
     let mut rng = Rng::new(904);
     let split = bench.dataset.split(0.7, &mut rng).unwrap();
