@@ -288,8 +288,9 @@ fn gemm_blocked(
     let apack_len = MC * KC.min(k);
 
     // Pack B once: block-major, then strip-major. Block b covers depths
-    // b*KC .. b*KC+kb and occupies n_strips * kb * NR floats.
-    let mut bp = buffer::take_uninit(k_blocks * n_strips * KC * NR);
+    // b*KC .. b*KC+kb and occupies n_strips * kb * NR floats, so all of
+    // B takes n_strips * k * NR.
+    let mut bp = buffer::take_uninit(n_strips * k * NR);
     let mut block_off = vec![0usize; k_blocks + 1];
     {
         let mut off = 0usize;
@@ -301,7 +302,7 @@ fn gemm_blocked(
             off += n_strips * kb * NR;
         }
         block_off[k_blocks] = off;
-        bp.truncate(off);
+        debug_assert_eq!(off, bp.len());
     }
 
     let panels = Panels {
