@@ -132,13 +132,13 @@ impl TreeModel {
         let mut outputs: Vec<Option<Tensor>> = vec![None; self.tasks.len()];
         for i in order {
             let input = match self.nodes[i].parent {
-                Some(p) => acts[p].clone().ok_or(TensorError::InvalidArgument {
+                Some(p) => acts[p].as_ref().ok_or(TensorError::InvalidArgument {
                     op: "TreeModel::forward",
                     msg: "parent activation missing (topological order broken)".to_string(),
                 })?,
-                None => x.clone(),
+                None => x,
             };
-            let y = self.nodes[i].block.forward(&input, mode)?;
+            let y = self.nodes[i].block.forward(input, mode)?;
             if let Some(t) = self.nodes[i].head_task {
                 outputs[t] = Some(y);
             } else {
