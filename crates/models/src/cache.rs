@@ -85,9 +85,9 @@ fn save_entry(path: &Path, model: &SingleTaskModel, score: f32) -> Result<()> {
     let mut w = ByteWriter::new();
     w.put_f32(score);
     env.push("score", w.into_bytes());
-    let mut weights = Vec::new();
-    write_state_dict(&mut weights, &model.state_dict())?;
-    env.push("weights", weights);
+    let mut w = ByteWriter::new();
+    write_state_dict(&mut w, &model.state_dict());
+    env.push("weights", w.into_bytes());
     save_atomic(path, &env)
 }
 
@@ -101,7 +101,8 @@ fn read_entry(path: &Path) -> Result<(f32, Vec<(String, Tensor)>)> {
         )));
     }
     let score = ByteReader::new(env.section("score")?).get_f32()?;
-    Ok((score, read_state_dict(&mut env.section("weights")?)?))
+    let weights = read_state_dict(&mut ByteReader::new(env.section("weights")?))?;
+    Ok((score, weights))
 }
 
 /// Loads a cached teacher or trains and caches one.
@@ -278,9 +279,9 @@ mod tests {
             .filter(|(k, _)| k.starts_with("block0."))
             .collect();
         let mut partial = Envelope::decode(&bytes).unwrap();
-        let mut weights = Vec::new();
-        write_state_dict(&mut weights, &first_block).unwrap();
-        partial.sections[1].1 = weights;
+        let mut weights = ByteWriter::new();
+        write_state_dict(&mut weights, &first_block);
+        partial.sections[1].1 = weights.into_bytes();
         save_atomic(&path, &partial).unwrap();
         retrains_to_the_cold_teacher("first block only");
 

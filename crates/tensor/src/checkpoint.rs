@@ -42,7 +42,7 @@ pub(crate) const FORMAT_VERSION: u32 = 1;
 /// Marker prefix distinguishing corruption from plain I/O failures.
 const CORRUPT: &str = "checkpoint corrupt: ";
 
-fn corrupt(msg: impl std::fmt::Display) -> TensorError {
+pub(crate) fn corrupt(msg: impl std::fmt::Display) -> TensorError {
     TensorError::Io(format!("{CORRUPT}{msg}"))
 }
 
@@ -212,11 +212,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes left unread.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// Reads `n` bytes verbatim, the counterpart of
+    /// [`ByteWriter::put_raw`]; fails before copying when fewer are left.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(corrupt(format!(
                 "wanted {n} bytes at offset {}, only {} left",
@@ -231,22 +233,22 @@ impl<'a> ByteReader<'a> {
 
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.get_raw(1)?[0])
     }
 
     /// Reads a little-endian u32.
     pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.get_raw(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.get_raw(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian u128.
     pub fn get_u128(&mut self) -> Result<u128> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.get_raw(16)?.try_into().unwrap()))
     }
 
     /// Reads a u64 element count and rejects it unless that many elements
@@ -290,14 +292,14 @@ impl<'a> ByteReader<'a> {
         if n > 1 << 24 {
             return Err(corrupt(format!("implausible string length {n}")));
         }
-        let bytes = self.take(n)?;
+        let bytes = self.get_raw(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| corrupt(format!("bad utf8: {e}")))
     }
 
     /// Reads a length-prefixed byte blob.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.get_len(1 << 32)?;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.get_raw(n)?.to_vec())
     }
 }
 
@@ -390,7 +392,7 @@ impl Envelope {
                 r.remaining()
             )));
         }
-        let body = r.take(body_len)?;
+        let body = r.get_raw(body_len)?;
         let actual_crc = crc32(body);
         if actual_crc != stored_crc {
             return Err(corrupt(format!(
