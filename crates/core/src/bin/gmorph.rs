@@ -347,8 +347,8 @@ fn cmd_checkpoint_inspect(cli: &Cli) -> Result<(), String> {
             println!("  duplicates    {}", snap.duplicates);
             println!("  failed        {}", snap.failed);
             println!("  quarantined   {}", snap.quarantined_count);
-            println!("  elites        {}", snap.state.elites.len());
-            println!("  best latency  {:.3} ms", snap.best.latency_ms);
+            println!("  elites        {}", snap.state.history.elite_count());
+            println!("  best latency  {:.3} ms", snap.best().latency_ms);
             println!("  virtual hours {:.4}", snap.state.clock_seconds / 3600.0);
             println!("  trace records {}", snap.trace.len());
         }

@@ -21,24 +21,21 @@
 //! mutated identically), which the driver asserts every iteration.
 
 use crate::checkpoint::{
-    config_fingerprint, load_latest_search, CheckpointManager, CheckpointOptions, LoopStateRef,
-    SearchSnapshot, SearchSnapshotRef, SEARCH_KIND,
+    config_fingerprint, load_latest_search, CheckpointManager, CheckpointOptions, SearchSnapshot,
+    SEARCH_KIND,
 };
 use crate::evaluator::{EvalMode, Evaluation};
-use crate::history::{Elite, History};
+use crate::history::Elite;
 use crate::policy::{PolicyKind, SimulatedAnnealing};
 use crate::supervisor::{self, retry_seed, FailureReport, SupervisorConfig};
 use gmorph_graph::pairs::{pairs_with, PairPolicy};
 use gmorph_graph::{mutation, AbsGraph, CapacityVector, NodeId, WeightStore};
 use gmorph_perf::accuracy::FinetuneConfig;
 use gmorph_perf::estimator::{estimate_latency_ms, Backend};
-use gmorph_perf::filter::CapacityRuleFilter;
 use gmorph_perf::VirtualClock;
-use gmorph_tensor::checkpoint::Envelope;
 use gmorph_tensor::engine;
 use gmorph_tensor::rng::Rng;
 use gmorph_tensor::{Result, TensorError};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Virtual-clock sample count (paper-scale representative inputs).
@@ -285,9 +282,10 @@ pub fn run_search_checkpointed(
         });
     }
     let wall_start = Instant::now();
-    let mut policy = SimulatedAnnealing::new();
-    policy.alpha = cfg.sa_alpha;
-    let clock = VirtualClock::with_throughput(VIRTUAL_SAMPLES, cfg.virtual_throughput);
+    let policy = SimulatedAnnealing {
+        alpha: cfg.sa_alpha,
+    };
+    let mut clock = VirtualClock::with_throughput(VIRTUAL_SAMPLES, cfg.virtual_throughput);
 
     let original_latency_ms = estimate_latency_ms(paper, Backend::Eager)?;
     let _run_span = gmorph_telemetry::span!(
@@ -312,14 +310,17 @@ pub fn run_search_checkpointed(
         nodes = mini.len(),
         candidates_per_round = per_round
     );
-    let mut state = State {
-        rng: Rng::new(cfg.seed ^ 0x5EA_4C4),
-        history: History::new(policy.max_elites),
-        policy,
-        rule_filter: CapacityRuleFilter::new(),
-        clock,
-        trace: Vec::with_capacity(cfg.iterations),
-        best: BestModel {
+
+    // The round size enters the fingerprint only above one, so snapshots
+    // of one-candidate rounds keep the fingerprint they always had.
+    let mut fingerprint = config_fingerprint(cfg, mini, paper);
+    if per_round > 1 {
+        fingerprint ^= (per_round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    let mut snap = SearchSnapshot::start(
+        fingerprint,
+        Rng::new(cfg.seed ^ 0x5EA_4C4),
+        BestModel {
             mini: mini.clone(),
             paper: paper.clone(),
             weights: teacher_weights.clone(),
@@ -327,45 +328,29 @@ pub fn run_search_checkpointed(
             drop: 0.0,
             scores: mode.teacher_scores().to_vec(),
         },
-        best_record: OnceLock::new(),
-        evaluated: 0,
-        rule_filtered: 0,
-        early_terminated: 0,
-        duplicates: 0,
-        failed: 0,
-        quarantined: 0,
-    };
+    );
+    snap.trace.reserve(cfg.iterations);
 
-    // Resume: restore the newest valid snapshot whose fingerprint matches
-    // this exact config + input graphs, then continue from its iteration.
-    // The round size enters the fingerprint only above one, so snapshots
-    // of one-candidate rounds keep the fingerprint they always had.
-    let mut fingerprint = config_fingerprint(cfg, mini, paper);
-    if per_round > 1 {
-        fingerprint ^= (per_round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    let mut start_iter = 1usize;
-    let mut wall_offset = 0.0f64;
-    if let Some(opts) = ckpt {
-        if opts.resume {
-            if let Some(snap) = load_latest_search(&opts.dir, fingerprint)? {
-                start_iter = snap.state.next_iter;
-                wall_offset = snap.state.wall_offset;
-                state.restore(snap);
-                gmorph_telemetry::point!(
-                    "search.resumed",
-                    next_iter = start_iter,
-                    evaluated = state.evaluated,
-                    elites = state.history.elite_count(),
-                    virtual_hours = state.clock.hours()
-                );
-            }
+    // Resume: continue from the newest valid snapshot whose fingerprint
+    // matches this exact config + input graphs.
+    if let Some(opts) = ckpt.filter(|opts| opts.resume) {
+        if let Some(saved) = load_latest_search(&opts.dir, fingerprint)? {
+            snap = saved;
+            clock.restore_seconds(snap.state.clock_seconds);
+            gmorph_telemetry::point!(
+                "search.resumed",
+                next_iter = snap.state.next_iter,
+                evaluated = snap.evaluated_count,
+                elites = snap.state.history.elite_count(),
+                virtual_hours = clock.hours()
+            );
         }
     }
     let mut manager = ckpt.map(|opts| CheckpointManager::new(opts, SEARCH_KIND));
+    let wall_offset = snap.state.wall_offset;
     let wall = || wall_offset + wall_start.elapsed().as_secs_f64();
 
-    let mut first = start_iter;
+    let mut first = snap.state.next_iter;
     while first <= cfg.iterations {
         let last = (first + per_round - 1).min(cfg.iterations);
 
@@ -373,12 +358,13 @@ pub fn run_search_checkpointed(
         // iteration order on the search RNG; a skip uses up its iteration.
         let mut slots = Vec::with_capacity(last + 1 - first);
         for iter in first..=last {
-            slots.push(state.screen(iter, cfg, mini, paper)?);
+            slots.push(snap.screen(&policy, iter, cfg, mini, paper)?);
         }
 
         // Phase 2: evaluate (fine-tune) the survivors, supervised. A
         // failing candidate is retried (transient kinds only), then
         // classified and reported — never an aborted run.
+        let state = &mut snap.state;
         let survivors: Vec<(usize, &AbsGraph, &WeightStore)> = slots
             .iter()
             .filter_map(|slot| match &slot.screened {
@@ -427,10 +413,10 @@ pub fn run_search_checkpointed(
                     status,
                     reason,
                     latency_ms,
-                } => state.skip(status, reason, latency_ms),
+                } => snap.skip(&mut clock, status, reason, latency_ms),
                 Screened::Survivor(cand) => {
                     let outcome = outcomes.next().expect("one outcome per survivor");
-                    state.fold(cfg, slot.iter, *cand, outcome)?
+                    snap.fold(&mut clock, cfg, slot.iter, *cand, outcome)?
                 }
             };
             let rec = TraceRecord {
@@ -440,19 +426,22 @@ pub fn run_search_checkpointed(
                 drop: step.drop,
                 met_target: step.met,
                 candidate_latency_ms: step.latency_ms,
-                best_latency_ms: state.best.latency_ms,
+                best_latency_ms: snap.best.latency_ms,
                 epochs: step.epochs,
-                virtual_hours: state.clock.hours(),
+                virtual_hours: clock.hours(),
                 wall_seconds: wall(),
             };
             emit_iter(&rec, slot.temperature, step.reason, slot.shape);
-            state.trace.push(rec);
+            snap.trace.push(rec);
         }
 
         // Snapshot the completed round; the manager decides whether it
         // hits the disk now or stays pending (flushed on drop).
         if let Some(mgr) = manager.as_mut() {
-            mgr.tick(first..=last, state.snapshot(fingerprint, last + 1, wall())?)?;
+            snap.state.next_iter = last + 1;
+            snap.state.clock_seconds = clock.seconds();
+            snap.state.wall_offset = wall();
+            mgr.tick(first..=last, snap.encode()?)?;
         }
         if let Some(opts) = ckpt {
             opts.maybe_crash(first..=last);
@@ -461,18 +450,17 @@ pub fn run_search_checkpointed(
     }
 
     let wall_seconds = wall();
-    let State {
+    let SearchSnapshot {
         best,
         trace,
-        clock,
-        evaluated,
+        evaluated_count: evaluated,
         rule_filtered,
         early_terminated,
         duplicates,
         failed,
-        quarantined,
+        quarantined_count: quarantined,
         ..
-    } = state;
+    } = snap;
     gmorph_telemetry::point!(
         "search.done",
         iterations = cfg.iterations,
@@ -502,29 +490,6 @@ pub fn run_search_checkpointed(
         failed,
         quarantined,
     })
-}
-
-/// The search loop's state: everything a snapshot holds but the
-/// iteration and the wall clock.
-struct State {
-    rng: Rng,
-    policy: SimulatedAnnealing,
-    history: History,
-    rule_filter: CapacityRuleFilter,
-    clock: VirtualClock,
-    trace: Vec<TraceRecord>,
-    /// Assigned only through [`State::set_best`], which drops the cached
-    /// record along with the model it encodes.
-    best: BestModel,
-    /// The checkpoint's `best` section, filled by the first snapshot
-    /// after the best model changed (see `checkpoint::best_section`).
-    best_record: OnceLock<Vec<u8>>,
-    evaluated: usize,
-    rule_filtered: usize,
-    early_terminated: usize,
-    duplicates: usize,
-    failed: usize,
-    quarantined: usize,
 }
 
 /// One iteration of a round, screened.
@@ -571,88 +536,37 @@ struct Step {
     epochs: usize,
 }
 
-impl State {
-    fn restore(&mut self, snap: SearchSnapshot) {
-        self.rng = Rng::restore(&snap.state.rng);
-        self.policy.restore_last_drop(snap.state.last_drop);
-        self.history = History::from_parts(
-            snap.state.evaluated,
-            snap.state.elites,
-            self.policy.max_elites,
-        );
-        self.rule_filter =
-            CapacityRuleFilter::from_parts(snap.state.failures, snap.state.quarantined);
-        self.clock.restore_seconds(snap.state.clock_seconds);
-        self.set_best(snap.best);
-        self.evaluated = snap.evaluated_count;
-        self.rule_filtered = snap.rule_filtered;
-        self.early_terminated = snap.early_terminated;
-        self.duplicates = snap.duplicates;
-        self.failed = snap.failed;
-        self.quarantined = snap.quarantined_count;
-        self.trace = snap.trace;
-    }
-
-    /// Replaces the best model and drops its cached checkpoint record.
-    fn set_best(&mut self, best: BestModel) {
-        self.best = best;
-        self.best_record = OnceLock::new();
-    }
-
-    /// Encodes the state by reference as the snapshot resuming at
-    /// `next_iter`.
-    fn snapshot(&self, fingerprint: u64, next_iter: usize, wall_offset: f64) -> Result<Envelope> {
-        SearchSnapshotRef {
-            state: LoopStateRef {
-                fingerprint,
-                next_iter,
-                rng: self.rng.state(),
-                last_drop: self.policy.last_drop(),
-                clock_seconds: self.clock.seconds(),
-                wall_offset,
-                failures: self.rule_filter.failures(),
-                quarantined: self.rule_filter.quarantined(),
-                evaluated: self.history.evaluated_digests(),
-                elites: self.history.elites(),
-            },
-            best: &self.best,
-            best_record: Some(&self.best_record),
-            evaluated_count: self.evaluated,
-            rule_filtered: self.rule_filtered,
-            early_terminated: self.early_terminated,
-            duplicates: self.duplicates,
-            failed: self.failed,
-            quarantined_count: self.quarantined,
-            trace: &self.trace,
-        }
-        .encode()
-    }
-
+/// The search loop's steps, run on the state a checkpoint saves. The
+/// policy and the virtual clock hold config (`sa_alpha`, the throughput),
+/// so they stay outside the snapshot.
+impl SearchSnapshot {
     /// Steps 1–2 and the pre-evaluation checks for iteration `iter`:
     /// samples the base graph (original or elite), mutates it at both
     /// scales, and screens the candidate.
     fn screen(
         &mut self,
+        policy: &SimulatedAnnealing,
         iter: usize,
         cfg: &SearchConfig,
         mini: &AbsGraph,
         paper: &AbsGraph,
     ) -> Result<Slot> {
+        let state = &mut self.state;
+        let n_elites = state.history.elite_count();
         let use_elite = match cfg.policy {
             PolicyKind::SimulatedAnnealing => {
-                self.policy
-                    .sample_from_elites(iter, self.history.elite_count(), &mut self.rng)
+                policy.sample_from_elites(iter, n_elites, state.last_drop, &mut state.rng)
             }
             PolicyKind::RandomSampling => false,
         };
-        let elite = if use_elite && self.history.elite_count() > 0 {
-            Some(self.rng.below(self.history.elite_count()))
+        let elite = if use_elite && n_elites > 0 {
+            Some(state.rng.below(n_elites))
         } else {
             None
         };
         let (base_mini, base_paper) = match elite {
             Some(i) => {
-                let e = &self.history.elites()[i];
+                let e = &state.history.elites()[i];
                 (&e.mini, &e.paper)
             }
             None => (mini, paper),
@@ -662,12 +576,12 @@ impl State {
             base_paper,
             cfg.pair_policy,
             cfg.max_ops_per_pass,
-            &mut self.rng,
+            &mut state.rng,
         )?;
         let mut slot = Slot {
             iter,
             elite,
-            temperature: self.policy.temperature(iter),
+            temperature: policy.temperature(iter),
             shape: (-1, -1),
             screened: Screened::Skipped {
                 status: CandidateStatus::NoMutation,
@@ -687,7 +601,7 @@ impl State {
         // work: a previously seen candidate skips even the latency
         // estimate, not just the fine-tuning.
         let digest = cand_mini.digest();
-        if self.history.seen(digest) {
+        if state.history.seen(digest) {
             slot.screened = Screened::Skipped {
                 status: CandidateStatus::Duplicate,
                 reason: "duplicate",
@@ -695,7 +609,7 @@ impl State {
             };
             return Ok(slot);
         }
-        self.history.record_evaluated(digest);
+        state.history.record_evaluated(digest);
 
         let latency_ms = estimate_latency_ms(&cand_paper, Backend::Eager)?;
         let objective = match cfg.objective {
@@ -708,11 +622,11 @@ impl State {
         // dominance rule applies: an equal or more aggressive merge of a
         // quarantined capacity is skipped too.
         let capacity = CapacityVector::of(&cand_mini)?;
-        let skip = match self.rule_filter.quarantine_verdict(digest, &capacity) {
+        let skip = match state.filter.quarantine_verdict(digest, &capacity) {
             Some(verdict) => Some((CandidateStatus::Quarantined, verdict)),
             // Rule-based filtering (§5.1) before any fine-tuning.
-            None if cfg.rule_filter => self
-                .rule_filter
+            None if cfg.rule_filter => state
+                .filter
                 .verdict(&capacity)
                 .map(|verdict| (CandidateStatus::RuleFiltered, verdict)),
             None => None,
@@ -736,23 +650,29 @@ impl State {
     }
 
     /// Counts a skipped iteration and charges its overhead.
-    fn skip(&mut self, status: CandidateStatus, reason: &'static str, latency_ms: f64) -> Step {
+    fn skip(
+        &mut self,
+        clock: &mut VirtualClock,
+        status: CandidateStatus,
+        reason: &'static str,
+        latency_ms: f64,
+    ) -> Step {
         match status {
             CandidateStatus::Duplicate => {
                 self.duplicates += 1;
-                self.clock.charge_overhead(1.0);
+                clock.charge_overhead(1.0);
                 gmorph_telemetry::counter!("search.duplicates");
                 gmorph_telemetry::counter!("search.dedup_hit");
             }
             CandidateStatus::Quarantined => {
-                self.quarantined += 1;
-                self.clock.charge_overhead(2.0);
+                self.quarantined_count += 1;
+                clock.charge_overhead(2.0);
                 gmorph_telemetry::counter!("search.quarantine_skipped");
                 gmorph_telemetry::counter!("filter.rule.quarantined");
             }
             CandidateStatus::RuleFiltered => {
                 self.rule_filtered += 1;
-                self.clock.charge_overhead(2.0);
+                clock.charge_overhead(2.0);
                 gmorph_telemetry::counter!("search.rule_filtered");
                 if gmorph_telemetry::enabled() {
                     gmorph_telemetry::counter!(&format!("filter.rule.{reason}"));
@@ -775,6 +695,7 @@ impl State {
     /// best model.
     fn fold(
         &mut self,
+        clock: &mut VirtualClock,
         cfg: &SearchConfig,
         iter: usize,
         cand: Candidate,
@@ -784,20 +705,18 @@ impl State {
         let evaluation = match outcome {
             Ok(evaluation) => {
                 let paper_flops = cand.paper.flops()?;
-                self.clock
-                    .charge_finetune(paper_flops, evaluation.result.epochs_run);
-                self.clock
-                    .charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
+                clock.charge_finetune(paper_flops, evaluation.result.epochs_run);
+                clock.charge_eval(paper_flops * evaluation.result.records.len().max(1) as u64);
                 evaluation
             }
             Err(report) => {
                 // Failed attempts still consumed search time.
-                self.clock.charge_overhead(2.0 * report.attempts as f64);
+                clock.charge_overhead(2.0 * report.attempts as f64);
                 // A failed candidate is quarantined and reads as maximally
                 // bad to the SA policy: elites stay preferable and the
                 // temperature schedule sees a rejection, not a hole.
                 self.failed += 1;
-                self.policy.observe_drop(1.0);
+                self.state.last_drop = 1.0;
                 gmorph_telemetry::counter!("search.failed");
                 gmorph_telemetry::counter!("eval.quarantine");
                 gmorph_telemetry::point!(
@@ -808,7 +727,8 @@ impl State {
                     digest = format!("{:032x}", cand.digest).as_str(),
                     error = report.message.as_str()
                 );
-                self.rule_filter
+                self.state
+                    .filter
                     .record_quarantine(cand.digest, cand.capacity);
                 return Ok(Step {
                     status: CandidateStatus::Failed,
@@ -821,8 +741,9 @@ impl State {
             }
         };
         let result = &evaluation.result;
-        self.evaluated += 1;
-        self.policy.observe_drop(result.final_drop.max(0.0));
+        self.evaluated_count += 1;
+        // A NaN drop reads as 0.
+        self.state.last_drop = result.final_drop.max(0.0).clamp(0.0, 1.0);
         if result.terminated_early {
             self.early_terminated += 1;
         }
@@ -846,7 +767,7 @@ impl State {
         }
         if !step.met {
             if cfg.rule_filter {
-                self.rule_filter.record_failure(cand.capacity);
+                self.state.filter.record_failure(cand.capacity);
             }
             gmorph_telemetry::counter!("search.rejected");
             return Ok(step);
@@ -869,7 +790,7 @@ impl State {
         } else {
             "accepted_elite"
         };
-        self.history.add_elite(Elite::new(
+        self.state.history.add_elite(Elite::new(
             cand.mini,
             cand.paper,
             evaluation.weights,

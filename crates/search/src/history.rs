@@ -74,9 +74,11 @@ impl Elite {
 /// ([`AbsGraph::digest`]), not by the signature text.
 #[derive(Debug, Clone)]
 pub struct History {
-    evaluated: HashSet<u128>,
-    elites: Vec<Elite>,
-    max_elites: usize,
+    pub(crate) evaluated: HashSet<u128>,
+    /// In insertion order: the sampling policy indexes into the list with
+    /// the run's RNG, so order is part of the deterministic-replay state.
+    pub(crate) elites: Vec<Elite>,
+    pub(crate) max_elites: usize,
 }
 
 impl History {
@@ -90,12 +92,12 @@ impl History {
     }
 
     /// Number of elites currently held.
-    pub(crate) fn elite_count(&self) -> usize {
+    pub fn elite_count(&self) -> usize {
         self.elites.len()
     }
 
     /// Read access to the elites.
-    pub(crate) fn elites(&self) -> &[Elite] {
+    pub fn elites(&self) -> &[Elite] {
         &self.elites
     }
 
@@ -119,19 +121,6 @@ impl History {
         let mut digests: Vec<u128> = self.evaluated.iter().copied().collect();
         digests.sort_unstable();
         digests
-    }
-
-    /// Reconstructs a history from checkpointed parts.
-    ///
-    /// `elites` must be in their original insertion order: the sampling
-    /// policy indexes into the elite list with the run's RNG, so order is
-    /// part of the deterministic-replay state.
-    pub fn from_parts(evaluated: Vec<u128>, elites: Vec<Elite>, max_elites: usize) -> History {
-        History {
-            evaluated: evaluated.into_iter().collect(),
-            elites,
-            max_elites: max_elites.max(1),
-        }
     }
 
     /// Adds an elite, evicting the slowest one when full.

@@ -300,7 +300,7 @@ mod tests {
         );
         assert_eq!(direct.result.epochs_run, supervised.result.epochs_run);
         // The search stream advanced identically.
-        assert_eq!(rng_a.state(), rng_b.state());
+        assert_eq!(rng_a, rng_b);
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! Seeded streams therefore match what the real dependency would produce,
 //! which keeps seed-tuned thresholds elsewhere in the repo meaningful.
 
+use crate::checkpoint::{ByteReader, ByteWriter};
+use crate::Result;
+
 /// One ChaCha block: 16 output words from 8 key words and a 64-bit
 /// counter, with `rounds` rounds and a zero nonce.
 fn chacha_block(key: &[u32; 8], counter: u64, rounds: usize, out: &mut [u32; 16]) {
@@ -74,7 +77,7 @@ fn chacha_block(key: &[u32; 8], counter: u64, rounds: usize, out: &mut [u32; 16]
 /// let mut b = Rng::new(1);
 /// assert_eq!(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rng {
     key: [u32; 8],
     counter: u64,
@@ -83,25 +86,6 @@ pub struct Rng {
     index: usize,
     /// Cached second output of the Box-Muller transform.
     spare_normal: Option<f32>,
-}
-
-/// A complete, serializable snapshot of an [`Rng`]'s state.
-///
-/// Restoring from a snapshot continues the random stream bit-exactly —
-/// including the Box-Muller spare normal. This is what makes
-/// checkpoint/resume of the search deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RngState {
-    /// ChaCha12 key words.
-    pub key: [u32; 8],
-    /// ChaCha12 64-bit block counter.
-    pub counter: u64,
-    /// Buffered keystream block.
-    pub buf: [u32; 16],
-    /// Read cursor into `buf` (16 = exhausted).
-    pub index: usize,
-    /// Cached second Box-Muller output, if any.
-    pub spare_normal: Option<f32>,
 }
 
 impl Rng {
@@ -216,29 +200,53 @@ impl Rng {
             Some(&items[self.below(items.len())])
         }
     }
+}
 
-    /// Captures the full generator state for checkpointing.
-    pub fn state(&self) -> RngState {
-        RngState {
-            key: self.key,
-            counter: self.counter,
-            buf: self.buf,
-            index: self.index,
-            spare_normal: self.spare_normal,
-        }
+/// Appends a generator's complete state: key, counter, buffered block,
+/// read cursor and the Box-Muller spare normal. [`get_rng`] continues the
+/// stream bit-exactly from these bytes, which is what makes
+/// checkpoint/resume of the search deterministic.
+pub fn put_rng(w: &mut ByteWriter, rng: &Rng) {
+    for k in rng.key {
+        w.put_u32(k);
     }
+    w.put_u64(rng.counter);
+    for b in rng.buf {
+        w.put_u32(b);
+    }
+    w.put_u64(rng.index as u64);
+    match rng.spare_normal {
+        Some(z) => {
+            w.put_u8(1);
+            w.put_f32(z);
+        }
+        None => w.put_u8(0),
+    }
+}
 
-    /// Rebuilds a generator that continues the stream of [`Rng::state`]
-    /// bit-exactly.
-    pub fn restore(state: &RngState) -> Self {
-        Rng {
-            key: state.key,
-            counter: state.counter,
-            buf: state.buf,
-            index: state.index.min(16),
-            spare_normal: state.spare_normal,
-        }
+/// Reads a generator written by [`put_rng`].
+pub fn get_rng(r: &mut ByteReader) -> Result<Rng> {
+    let mut key = [0u32; 8];
+    for k in &mut key {
+        *k = r.get_u32()?;
     }
+    let counter = r.get_u64()?;
+    let mut buf = [0u32; 16];
+    for b in &mut buf {
+        *b = r.get_u32()?;
+    }
+    let index = r.get_len(16)?;
+    let spare_normal = match r.get_u8()? {
+        0 => None,
+        _ => Some(r.get_f32()?),
+    };
+    Ok(Rng {
+        key,
+        counter,
+        buf,
+        index,
+        spare_normal,
+    })
 }
 
 #[cfg(test)]
@@ -310,9 +318,12 @@ mod tests {
             rng.uniform(-1.0, 1.0);
         }
         // 37 normal() calls so far: odd count leaves a cached spare.
-        let snap = rng.state();
-        assert!(snap.spare_normal.is_some());
-        let mut resumed = Rng::restore(&snap);
+        assert!(rng.spare_normal.is_some());
+        let mut w = ByteWriter::new();
+        put_rng(&mut w, &rng);
+        let bytes = w.into_bytes();
+        let mut resumed = get_rng(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(resumed, rng);
         for _ in 0..200 {
             assert_eq!(rng.normal().to_bits(), resumed.normal().to_bits());
             assert_eq!(rng.below(97), resumed.below(97));
@@ -331,7 +342,8 @@ mod tests {
 
     /// One value per draw: `below` over small, odd and wide ranges, the
     /// bits of `uniform` and of three `normal`s (so a spare is cached),
-    /// `coin`, the whole `state()`, a shuffle of 0..10 and a forked child.
+    /// `coin`, the whole generator state, a shuffle of 0..10 and a forked
+    /// child.
     fn stream_pin(seed: u64) -> Vec<u64> {
         let mut rng = Rng::new(seed);
         let mut out = Vec::new();
@@ -345,12 +357,11 @@ mod tests {
             out.push(rng.normal().to_bits() as u64);
         }
         out.push(rng.coin(0.5) as u64);
-        let s = rng.state();
-        out.push(s.spare_normal.expect("odd normal count").to_bits() as u64);
-        out.extend(s.key.iter().map(|&k| k as u64));
-        out.push(s.counter);
-        out.extend(s.buf.iter().map(|&w| w as u64));
-        out.push(s.index as u64);
+        out.push(rng.spare_normal.expect("odd normal count").to_bits() as u64);
+        out.extend(rng.key.iter().map(|&k| k as u64));
+        out.push(rng.counter);
+        out.extend(rng.buf.iter().map(|&w| w as u64));
+        out.push(rng.index as u64);
         let mut perm: Vec<usize> = (0..10).collect();
         rng.shuffle(&mut perm);
         out.extend(perm.iter().map(|&i| i as u64));
