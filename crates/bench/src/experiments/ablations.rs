@@ -42,7 +42,13 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.print_table(
         "Ablation: input-shareable pair restriction",
-        &["policy", "best latency (ms)", "speedup", "search time (h)", "evaluated"],
+        &[
+            "policy",
+            "best latency (ms)",
+            "speedup",
+            "search time (h)",
+            "evaluated",
+        ],
         &rows,
     );
 
@@ -58,7 +64,13 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.print_table(
         "Ablation: simulated-annealing cooling constant",
-        &["alpha", "best latency (ms)", "speedup", "search time (h)", "evaluated"],
+        &[
+            "alpha",
+            "best latency (ms)",
+            "speedup",
+            "search time (h)",
+            "evaluated",
+        ],
         &rows,
     );
 
@@ -74,7 +86,13 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.print_table(
         "Ablation: mutation operations per pass",
-        &["ops", "best latency (ms)", "speedup", "search time (h)", "evaluated"],
+        &[
+            "ops",
+            "best latency (ms)",
+            "speedup",
+            "search time (h)",
+            "evaluated",
+        ],
         &rows,
     );
 
@@ -82,10 +100,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     // item (1) offers both; the best models can differ because per-op
     // overhead makes latency favour fewer, larger nodes).
     let mut rows = Vec::new();
-    for (label, objective) in [
-        ("latency", Objective::Latency),
-        ("flops", Objective::Flops),
-    ] {
+    for (label, objective) in [("latency", Objective::Latency), ("flops", Objective::Flops)] {
         let cfg = OptimizationConfig {
             objective,
             ..paper_config(BenchId::B1, opts, 0.01)
@@ -101,7 +116,12 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.print_table(
         "Ablation: optimization objective",
-        &["objective", "best latency (ms)", "latency speedup", "best GFLOPs"],
+        &[
+            "objective",
+            "best latency (ms)",
+            "latency speedup",
+            "best GFLOPs",
+        ],
         &rows,
     );
 
@@ -133,7 +153,13 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.print_table(
         "Ablation: elite weight inheritance",
-        &["policy", "best latency (ms)", "speedup", "search time (h)", "mean epochs/candidate"],
+        &[
+            "policy",
+            "best latency (ms)",
+            "speedup",
+            "search time (h)",
+            "mean epochs/candidate",
+        ],
         &rows,
     );
     Ok(())

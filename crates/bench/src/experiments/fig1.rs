@@ -119,7 +119,11 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             ]
         })
         .collect();
-    reporter.write_csv("fig1.csv", &["setting", "shape_class", "speedup", "drop"], &rows)?;
+    reporter.write_csv(
+        "fig1.csv",
+        &["setting", "shape_class", "speedup", "drop"],
+        &rows,
+    )?;
 
     // Summary: per setting and class, the mean drop in speedup buckets,
     // and the Pareto check the paper's insight rests on.
@@ -133,10 +137,8 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             if subset.is_empty() {
                 continue;
             }
-            let mean_speedup =
-                subset.iter().map(|s| s.speedup).sum::<f64>() / subset.len() as f64;
-            let mean_drop =
-                subset.iter().map(|s| s.drop).sum::<f32>() / subset.len() as f32;
+            let mean_speedup = subset.iter().map(|s| s.speedup).sum::<f64>() / subset.len() as f64;
+            let mean_drop = subset.iter().map(|s| s.drop).sum::<f32>() / subset.len() as f32;
             let max_drop = subset.iter().map(|s| s.drop).fold(0.0f32, f32::max);
             let lossless = subset.iter().filter(|s| s.drop <= 0.005).count();
             rows.push(vec![

@@ -37,7 +37,12 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
             let speedup = orig / rec.candidate_latency_ms;
             rows.push(vec![
                 format!("{threshold}"),
-                if rec.from_elite { "from_another" } else { "from_original" }.to_string(),
+                if rec.from_elite {
+                    "from_another"
+                } else {
+                    "from_original"
+                }
+                .to_string(),
                 f(cost_seconds, 1),
                 f(speedup, 3),
             ]);

@@ -115,7 +115,14 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     reporter.write_csv("fig3.csv", &["arch", "init", "drop"], &rows)?;
     reporter.print_table(
         "Figure 3: accuracy drop across weight initializations",
-        &["arch", "inits", "min drop", "mean drop", "max drop", "improved (<0)"],
+        &[
+            "arch",
+            "inits",
+            "min drop",
+            "mean drop",
+            "max drop",
+            "improved (<0)",
+        ],
         &summaries,
     );
     Ok(())

@@ -121,9 +121,10 @@ pub(crate) fn report_latency_tables(
                 .unwrap_or(f64::NAN);
             row.push(f(orig, 2));
             for variant in VARIANTS {
-                if let Some(c) = cells.iter().find(|c| {
-                    c.bench == id && c.threshold == threshold && c.variant == variant
-                }) {
+                if let Some(c) = cells
+                    .iter()
+                    .find(|c| c.bench == id && c.threshold == threshold && c.variant == variant)
+                {
                     row.push(f(c.result.best.latency_ms, 2));
                     row.push(format!("{:.2}x", c.result.speedup));
                 } else {
@@ -176,16 +177,12 @@ pub(crate) fn report_search_time(
             let get = |variant: &str| -> Option<f64> {
                 cells
                     .iter()
-                    .find(|c| {
-                        c.bench == id && c.threshold == threshold && c.variant == variant
-                    })
+                    .find(|c| c.bench == id && c.threshold == threshold && c.variant == variant)
                     .map(|c| c.result.virtual_hours)
             };
-            let (Some(base), Some(p), Some(pr)) = (
-                get("GMorph"),
-                get("GMorph w P"),
-                get("GMorph w P+R"),
-            ) else {
+            let (Some(base), Some(p), Some(pr)) =
+                (get("GMorph"), get("GMorph w P"), get("GMorph w P+R"))
+            else {
                 continue;
             };
             let saving = |x: f64| {
@@ -220,7 +217,9 @@ pub(crate) fn report_search_time(
     )?;
     reporter.print_table(
         "Table 5: search time (virtual hours) and savings from predictive filtering",
-        &["bench", "budget", "GMorph", "w P", "saving", "w P+R", "saving"],
+        &[
+            "bench", "budget", "GMorph", "w P", "saving", "w P+R", "saving",
+        ],
         &rows,
     );
     Ok(())
@@ -229,7 +228,10 @@ pub(crate) fn report_search_time(
 /// Runs Figure 7 (and Tables 5/7/8/9) end to end.
 pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     let reporter = Reporter::new(&opts.out_dir);
-    println!("running the B1-B7 x threshold x variant grid ({} iterations each)...", opts.iterations);
+    println!(
+        "running the B1-B7 x threshold x variant grid ({} iterations each)...",
+        opts.iterations
+    );
     let cells = run_grid(opts)?;
     report_latency_tables(&cells, &reporter)?;
     report_search_time(&cells, &reporter)

@@ -49,16 +49,26 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.write_csv(
         "fig8.csv",
-        &["threshold", "variant", "iter", "virtual_hours", "best_latency_ms"],
+        &[
+            "threshold",
+            "variant",
+            "iter",
+            "virtual_hours",
+            "best_latency_ms",
+        ],
         &csv,
     )?;
     reporter.print_table(
         "Figure 8 (endpoints): search time vs best latency on B1",
-        &["budget", "variant", "search time (h)", "best latency (ms)", "speedup"],
+        &[
+            "budget",
+            "variant",
+            "search time (h)",
+            "best latency (ms)",
+            "speedup",
+        ],
         &summary,
     );
-    println!(
-        "full convergence curves are in results/fig8.csv (virtual_hours vs best_latency_ms)"
-    );
+    println!("full convergence curves are in results/fig8.csv (virtual_hours vs best_latency_ms)");
     Ok(())
 }

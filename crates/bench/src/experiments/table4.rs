@@ -87,7 +87,12 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
     }
     reporter.write_csv(
         "table4.csv",
-        &["bench", "all_shared(drop,speedup)", "treemtl(drop,speedup)", "gmorph(drop,speedup)"],
+        &[
+            "bench",
+            "all_shared(drop,speedup)",
+            "treemtl(drop,speedup)",
+            "gmorph(drop,speedup)",
+        ],
         &csv,
     )?;
     reporter.print_table(

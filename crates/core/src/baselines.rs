@@ -48,7 +48,10 @@ pub fn all_shared(specs: &[ModelSpec]) -> Result<AbsGraph> {
         }
         for s in &specs[1..] {
             if s.blocks.get(prefix) != Some(block)
-                || matches!(s.blocks.get(prefix), Some(gmorph_nn::BlockSpec::Head { .. }))
+                || matches!(
+                    s.blocks.get(prefix),
+                    Some(gmorph_nn::BlockSpec::Head { .. })
+                )
             {
                 break 'outer;
             }
@@ -68,9 +71,7 @@ pub(crate) fn build_branched(specs: &[ModelSpec], branch_at: usize) -> Result<Ab
         msg: "no models".to_string(),
     })?;
     for s in specs {
-        if s.blocks.len() < branch_at
-            || s.blocks[..branch_at] != first.blocks[..branch_at]
-        {
+        if s.blocks.len() < branch_at || s.blocks[..branch_at] != first.blocks[..branch_at] {
             return Err(TensorError::InvalidArgument {
                 op: "baselines::build_branched",
                 msg: format!("branch point {branch_at} exceeds the identical prefix"),

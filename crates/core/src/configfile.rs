@@ -68,7 +68,10 @@ pub fn parse(text: &str) -> Result<OptimizationConfig> {
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
-            return Err(bad(line_no, format!("expected `key = value`, got {line:?}")));
+            return Err(bad(
+                line_no,
+                format!("expected `key = value`, got {line:?}"),
+            ));
         };
         let key = key.trim();
         let value = value.trim();
@@ -113,9 +116,7 @@ pub fn parse(text: &str) -> Result<OptimizationConfig> {
                     "similar" => PairPolicy::SimilarShape,
                     "dissimilar" => PairPolicy::DissimilarShape,
                     "any" => PairPolicy::AnyShape,
-                    other => {
-                        return Err(bad(line_no, format!("unknown pair policy {other:?}")))
-                    }
+                    other => return Err(bad(line_no, format!("unknown pair policy {other:?}"))),
                 }
             }
             "max_epochs" => cfg.max_epochs = int("max_epochs")?,

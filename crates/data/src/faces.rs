@@ -73,11 +73,7 @@ pub enum FaceTask {
 /// assert_eq!(ds.len(), 8);
 /// assert_eq!(ds.tasks.len(), 2);
 /// ```
-pub fn generate(
-    cfg: &FacesConfig,
-    tasks: &[FaceTask],
-    rng: &mut Rng,
-) -> Result<MultiTaskDataset> {
+pub fn generate(cfg: &FacesConfig, tasks: &[FaceTask], rng: &mut Rng) -> Result<MultiTaskDataset> {
     // One fixed rendering basis per latent factor, shared across samples.
     // Factors: 2 identity dims, age, gender, ethnicity (one basis per
     // class), emotion (one basis per class).
@@ -123,10 +119,7 @@ pub fn generate(
         emotion.push(emo_c);
     }
 
-    let inputs = Tensor::from_vec(
-        &[cfg.samples, cfg.channels, cfg.img, cfg.img],
-        data,
-    )?;
+    let inputs = Tensor::from_vec(&[cfg.samples, cfg.channels, cfg.img, cfg.img], data)?;
     let mut specs = Vec::new();
     let mut labels = Vec::new();
     for t in tasks {
@@ -226,7 +219,11 @@ mod tests {
             let dist = |c: &Vec<f32>| -> f32 {
                 x.iter().zip(c.iter()).map(|(a, b)| (a - b) * (a - b)).sum()
             };
-            let pred = if dist(&centroids[0]) < dist(&centroids[1]) { 0 } else { 1 };
+            let pred = if dist(&centroids[0]) < dist(&centroids[1]) {
+                0
+            } else {
+                1
+            };
             if pred == l {
                 correct += 1;
             }

@@ -33,7 +33,11 @@ pub(crate) fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
     if labels.is_empty() {
         return Ok(0.0);
     }
-    let correct = preds.iter().zip(labels.iter()).filter(|(p, l)| p == l).count();
+    let correct = preds
+        .iter()
+        .zip(labels.iter())
+        .filter(|(p, l)| p == l)
+        .count();
     Ok(correct as f32 / labels.len() as f32)
 }
 
@@ -46,7 +50,11 @@ pub(crate) fn average_precision(scores: &[f32], positives: &[bool]) -> f32 {
         return 0.0;
     }
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     let mut hits = 0usize;
     let mut ap = 0.0f32;
     for (rank, &i) in order.iter().enumerate() {
@@ -139,8 +147,7 @@ mod tests {
 
     #[test]
     fn accuracy_basics() {
-        let logits =
-            Tensor::from_vec(&[3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]).unwrap();
+        let logits = Tensor::from_vec(&[3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]).unwrap();
         assert_eq!(accuracy(&logits, &[0, 1, 0]).unwrap(), 1.0);
         assert_eq!(accuracy(&logits, &[1, 0, 1]).unwrap(), 0.0);
         assert!((accuracy(&logits, &[0, 0, 0]).unwrap() - 2.0 / 3.0).abs() < 1e-6);
@@ -170,20 +177,17 @@ mod tests {
 
     #[test]
     fn mean_ap_perfect() {
-        let logits =
-            Tensor::from_vec(&[2, 2], vec![5.0, -5.0, -5.0, 5.0]).unwrap();
+        let logits = Tensor::from_vec(&[2, 2], vec![5.0, -5.0, -5.0, 5.0]).unwrap();
         let targets = Tensor::from_vec(&[2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         assert!((mean_ap(&logits, &targets).unwrap() - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn matthews_perfect_and_inverted() {
-        let perfect =
-            Tensor::from_vec(&[4, 2], vec![1., 0., 0., 1., 1., 0., 0., 1.]).unwrap();
+        let perfect = Tensor::from_vec(&[4, 2], vec![1., 0., 0., 1., 1., 0., 0., 1.]).unwrap();
         let labels = [0usize, 1, 0, 1];
         assert!((matthews(&perfect, &labels).unwrap() - 1.0).abs() < 1e-6);
-        let inverted =
-            Tensor::from_vec(&[4, 2], vec![0., 1., 1., 0., 0., 1., 1., 0.]).unwrap();
+        let inverted = Tensor::from_vec(&[4, 2], vec![0., 1., 1., 0., 0., 1., 1., 0.]).unwrap();
         assert!(matthews(&inverted, &labels).unwrap() < 1e-6);
     }
 

@@ -109,15 +109,7 @@ pub fn generate(cfg: &ScenesConfig, rng: &mut Rng) -> Result<MultiTaskDataset> {
             let cls = rng.below(cfg.object_classes);
             presence[s * cfg.object_classes + cls] = 1.0;
             let intensity = rng.uniform(0.5, 1.5);
-            render::add_scaled_shifted(
-                sample,
-                &bases[cls],
-                cfg.channels,
-                cfg.img,
-                0,
-                0,
-                intensity,
-            );
+            render::add_scaled_shifted(sample, &bases[cls], cfg.channels, cfg.img, 0, 0, intensity);
             if intensity > cfg.salient_threshold {
                 count += 1;
             }

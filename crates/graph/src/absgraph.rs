@@ -481,7 +481,13 @@ impl AbsGraph {
     /// Renders the graph as indented text (the Figure 9-style
     /// visualization).
     pub fn render(&self) -> String {
-        fn rec(g: &AbsGraph, id: NodeId, depth: usize, serving: &HashMap<NodeId, Vec<usize>>, out: &mut String) {
+        fn rec(
+            g: &AbsGraph,
+            id: NodeId,
+            depth: usize,
+            serving: &HashMap<NodeId, Vec<usize>>,
+            out: &mut String,
+        ) {
             let n = g.node(id).expect("render over live nodes");
             let tasks = serving
                 .get(&id)

@@ -156,9 +156,7 @@ mod tests {
         let pairs = shareable_pairs(&graph).unwrap();
         let cross = pairs
             .iter()
-            .find(|&&(n, m)| {
-                graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id
-            })
+            .find(|&&(n, m)| graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id)
             .copied()
             .unwrap();
         let (mutated, _) = mutation_pass(&graph, &[cross]).unwrap();

@@ -85,17 +85,14 @@ pub(crate) fn share_input(g: &mut AbsGraph, n: NodeId, m: NodeId) -> Result<Muta
     }
     let needs_rescale = host_input != guest_input;
     if needs_rescale {
-        let ranks_ok = matches!(
-            (host_input.len(), guest_input.len()),
-            (3, 3) | (2, 2)
-        );
+        let ranks_ok = matches!((host_input.len(), guest_input.len()), (3, 3) | (2, 2));
         if !ranks_ok {
-            return reject(format!(
-                "cannot re-scale {host_input:?} to {guest_input:?}"
-            ));
+            return reject(format!("cannot re-scale {host_input:?} to {guest_input:?}"));
         }
         if guest_ty == OpType::TokenEmbed {
-            return reject("token embeddings consume discrete ids; re-scaled features are invalid".to_string());
+            return reject(
+                "token embeddings consume discrete ids; re-scaled features are invalid".to_string(),
+            );
         }
     }
     let in_branch = g.is_ancestor(n, m)?;
@@ -222,7 +219,7 @@ mod tests {
         g.validate().unwrap();
         assert!(matches!(out.kind, MutationKind::CrossBranch { .. }));
         assert_eq!(out.removed_nodes, 1); // Task 1's op 0 died.
-        // Graph shrank or stayed (rescale may offset).
+                                          // Graph shrank or stayed (rescale may offset).
         assert!(g.len() <= before);
     }
 
@@ -297,8 +294,7 @@ mod tests {
         // Second pair references task 1 nodes that die in the first op.
         let dead = by_key(&g, 1, 2);
         let other = by_key(&g, 1, 4);
-        let (mutated, ops) =
-            mutation_pass(&g, &[(n, h1), (dead, other)]).unwrap();
+        let (mutated, ops) = mutation_pass(&g, &[(n, h1), (dead, other)]).unwrap();
         mutated.validate().unwrap();
         assert_eq!(ops.len(), 1);
     }

@@ -211,9 +211,9 @@ mod tests {
         ])
         .unwrap();
         let pairs = shareable_pairs(&g).unwrap();
-        let cross = pairs.iter().any(|&(n, m)| {
-            g.node(n).unwrap().task_id != g.node(m).unwrap().task_id
-        });
+        let cross = pairs
+            .iter()
+            .any(|&(n, m)| g.node(n).unwrap().task_id != g.node(m).unwrap().task_id);
         assert!(cross);
     }
 }

@@ -83,7 +83,11 @@ pub(crate) fn encode_spec(spec: &BlockSpec) -> String {
             kernel,
             stride,
         } => format!("conv_bn_relu:{c_in}:{c_out}:{kernel}:{stride}"),
-        BlockSpec::Residual { c_in, c_out, stride } => {
+        BlockSpec::Residual {
+            c_in,
+            c_out,
+            stride,
+        } => {
             format!("residual:{c_in}:{c_out}:{stride}")
         }
         BlockSpec::MaxPool { k } => format!("maxpool:{k}"),
@@ -205,7 +209,10 @@ fn decode_ids(s: &str) -> Result<Vec<usize>> {
         return Ok(Vec::new());
     }
     s.split(',')
-        .map(|p| p.parse::<usize>().map_err(|_| bad(format!("bad id list {s:?}"))))
+        .map(|p| {
+            p.parse::<usize>()
+                .map_err(|_| bad(format!("bad id list {s:?}")))
+        })
         .collect()
 }
 
@@ -263,9 +270,7 @@ pub fn decode_graph_exact(text: &str) -> Result<AbsGraph> {
     for line in lines {
         let parts: Vec<&str> = line.split_whitespace().collect();
         match parts.first().copied() {
-            Some("input") => {
-                input_shape = Some(decode_dims(parts.get(1).copied().unwrap_or(""))?)
-            }
+            Some("input") => input_shape = Some(decode_dims(parts.get(1).copied().unwrap_or(""))?),
             Some("arena") => {
                 if parts.len() != 3 {
                     return Err(bad(format!("bad arena line {line:?}")));
@@ -493,9 +498,7 @@ mod tests {
         let prs = pairs::shareable_pairs(&graph).unwrap();
         let cross = prs
             .iter()
-            .find(|&&(n, m)| {
-                graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id
-            })
+            .find(|&&(n, m)| graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id)
             .copied()
             .unwrap();
         let (mutated, _) = mutation::mutation_pass(&graph, &[cross]).unwrap();

@@ -300,10 +300,7 @@ mod tests {
             let _x2 = Tensor::randn(&[1, 3, 4, 4], 1.0, &mut r2);
             let mut m = shared_tree(&mut r2);
             let ys = m.forward(&x, Mode::Train).unwrap();
-            let mut grads = vec![
-                Tensor::zeros(ys[0].dims()),
-                Tensor::zeros(ys[1].dims()),
-            ];
+            let mut grads = vec![Tensor::zeros(ys[0].dims()), Tensor::zeros(ys[1].dims())];
             grads[t] = Tensor::ones(ys[t].dims());
             m.backward(&grads).unwrap();
             let g = match &m.nodes[0].block {
@@ -345,6 +342,8 @@ mod tests {
             .add_node((0, 0), Block::conv_relu(3, 4, &mut rng).unwrap(), Some(7))
             .is_err());
         // Head for unknown task rejected.
-        assert!(m.add_node((3, 0), Block::head(4, 2, &mut rng), None).is_err());
+        assert!(m
+            .add_node((3, 0), Block::head(4, 2, &mut rng), None)
+            .is_err());
     }
 }

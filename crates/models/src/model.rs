@@ -274,10 +274,7 @@ mod tests {
             opt.begin_step();
             m.visit_params(&mut |p| opt.update(p));
         }
-        assert!(
-            last < first * 0.7,
-            "loss did not drop: {first} -> {last}"
-        );
+        assert!(last < first * 0.7, "loss did not drop: {first} -> {last}");
     }
 
     #[test]

@@ -202,13 +202,6 @@ mod tests {
         let ds = generate(&cfg, &[FaceTask::Age], &mut rng).unwrap();
         let spec = vgg(VggDepth::Vgg11, VisionScale::mini(), &ds.tasks[0]).unwrap();
         let mut model = spec.build(&mut rng).unwrap();
-        assert!(train_teacher(
-            &mut model,
-            &ds,
-            &ds,
-            3,
-            &TrainConfig::default()
-        )
-        .is_err());
+        assert!(train_teacher(&mut model, &ds, &ds, 3, &TrainConfig::default()).is_err());
     }
 }

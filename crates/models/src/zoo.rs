@@ -284,8 +284,20 @@ pub fn build(id: BenchId, profile: &DataProfile, seed: u64) -> Result<BenchmarkD
             let cola = &ds.tasks[0];
             let sst = &ds.tasks[1];
             let mini = vec![
-                bert("BERT-Large", seq_mini(true), profile.vocab, profile.seq_len, cola)?,
-                bert("BERT-Base", seq_mini(false), profile.vocab, profile.seq_len, sst)?,
+                bert(
+                    "BERT-Large",
+                    seq_mini(true),
+                    profile.vocab,
+                    profile.seq_len,
+                    cola,
+                )?,
+                bert(
+                    "BERT-Base",
+                    seq_mini(false),
+                    profile.vocab,
+                    profile.seq_len,
+                    sst,
+                )?,
             ];
             let paper = vec![
                 bert("BERT-Large", seq_paper(true), 30522, 128, cola)?,

@@ -273,7 +273,9 @@ impl Block {
         match (from.len(), to.len()) {
             (3, 3) => {
                 let proj = if from[0] != to[0] {
-                    Some(RescaleProj::Conv(Conv2d::new(from[0], to[0], 1, 1, 0, rng)?))
+                    Some(RescaleProj::Conv(Conv2d::new(
+                        from[0], to[0], 1, 1, 0, rng,
+                    )?))
                 } else {
                     None
                 };
@@ -440,8 +442,7 @@ impl Block {
                         for s in 0..n {
                             for tok in 0..t {
                                 for j in 0..d {
-                                    out.data_mut()[s * d + j] +=
-                                        x.data()[(s * t + tok) * d + j];
+                                    out.data_mut()[s * d + j] += x.data()[(s * t + tok) * d + j];
                                 }
                             }
                         }
@@ -468,8 +469,7 @@ impl Block {
                 ..
             } => match target.len() {
                 3 => {
-                    let resized =
-                        resize2d_forward(x, target[1], target[2], InterpMode::Bilinear)?;
+                    let resized = resize2d_forward(x, target[1], target[2], InterpMode::Bilinear)?;
                     let mid_dims = resized.dims().to_vec();
                     let y = match proj {
                         Some(RescaleProj::Conv(c)) => c.forward(&resized, mode)?,
@@ -490,14 +490,13 @@ impl Block {
                     // Interpolate the token axis by viewing [N, 1, T, D].
                     let (n, t_in, d_in) = (x.dims()[0], x.dims()[1], x.dims()[2]);
                     let x4 = x.reshape(&[n, 1, t_in, d_in])?;
-                    let resized =
-                        resize2d_forward(&x4, target[0], d_in, InterpMode::Bilinear)?;
+                    let resized = resize2d_forward(&x4, target[0], d_in, InterpMode::Bilinear)?;
                     let mid = resized.reshape(&[n * target[0], d_in])?;
                     let mid_dims = vec![n, 1, t_in, d_in];
                     let y = match proj {
-                        Some(RescaleProj::Linear(l)) => l
-                            .forward(&mid, mode)?
-                            .reshape(&[n, target[0], target[1]])?,
+                        Some(RescaleProj::Linear(l)) => {
+                            l.forward(&mid, mode)?.reshape(&[n, target[0], target[1]])?
+                        }
                         Some(RescaleProj::Conv(_)) => {
                             return Err(TensorError::InvalidArgument {
                                 op: "Rescale::forward",
@@ -655,8 +654,7 @@ impl Block {
                         let n = in_dims[0];
                         let g = match proj {
                             Some(RescaleProj::Linear(l)) => {
-                                let g2 =
-                                    grad_y.reshape(&[n * target[0], target[1]])?;
+                                let g2 = grad_y.reshape(&[n * target[0], target[1]])?;
                                 l.backward(&g2)?
                             }
                             _ => grad_y.reshape(&[n * target[0], in_dims[2]])?,

@@ -159,7 +159,14 @@ impl MultiHeadAttention {
             y2.data(),
         );
         if mode == Mode::Train {
-            self.cache = Some(AttnCache { q, k, v, probs, n, t });
+            self.cache = Some(AttnCache {
+                q,
+                k,
+                v,
+                probs,
+                n,
+                t,
+            });
         }
         y2.reshape(&[n, t, d])
     }
@@ -322,7 +329,11 @@ mod tests {
         let (y1, g1) = run(1);
         let (y4, g4) = run(4);
         assert_eq!(y1.data(), y4.data(), "forward differs across thread counts");
-        assert_eq!(g1.data(), g4.data(), "backward differs across thread counts");
+        assert_eq!(
+            g1.data(),
+            g4.data(),
+            "backward differs across thread counts"
+        );
     }
 
     /// B7's BERT-Large layer at the teacher-training batch of 32 has enough

@@ -161,13 +161,7 @@ pub struct PatchEmbed {
 impl PatchEmbed {
     /// Creates a patch embedding for `img` × `img` inputs with `channels`
     /// input channels, `patch` patch size, width `d`.
-    pub fn new(
-        channels: usize,
-        img: usize,
-        patch: usize,
-        d: usize,
-        rng: &mut Rng,
-    ) -> Result<Self> {
+    pub fn new(channels: usize, img: usize, patch: usize, d: usize, rng: &mut Rng) -> Result<Self> {
         if patch == 0 || !img.is_multiple_of(patch) {
             return Err(TensorError::InvalidArgument {
                 op: "PatchEmbed::new",

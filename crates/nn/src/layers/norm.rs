@@ -143,12 +143,7 @@ impl BatchNorm2d {
                 rhs: grad_y.shape().to_string(),
             });
         }
-        let (n, c, h, w) = (
-            cache.dims[0],
-            cache.dims[1],
-            cache.dims[2],
-            cache.dims[3],
-        );
+        let (n, c, h, w) = (cache.dims[0], cache.dims[1], cache.dims[2], cache.dims[3]);
         let plane = h * w;
         let m = (n * plane) as f32;
         let mut grad_x = Tensor::zeros(grad_y.dims());
@@ -169,10 +164,8 @@ impl BatchNorm2d {
             for s in 0..n {
                 let base = (s * c + ch) * plane;
                 for i in base..base + plane {
-                    grad_x.data_mut()[i] = k
-                        * (m * grad_y.data()[i]
-                            - sum_gy
-                            - cache.xhat.data()[i] * sum_gy_xhat);
+                    grad_x.data_mut()[i] =
+                        k * (m * grad_y.data()[i] - sum_gy - cache.xhat.data()[i] * sum_gy_xhat);
                 }
             }
         }
@@ -441,7 +434,9 @@ mod tests {
     #[test]
     fn rejects_wrong_shapes() {
         let mut bn = BatchNorm2d::new(3);
-        assert!(bn.forward(&Tensor::zeros(&[1, 2, 4, 4]), Mode::Eval).is_err());
+        assert!(bn
+            .forward(&Tensor::zeros(&[1, 2, 4, 4]), Mode::Eval)
+            .is_err());
         assert!(bn.backward(&Tensor::zeros(&[1, 3, 4, 4])).is_err());
         let mut ln = LayerNorm::new(4);
         assert!(ln.forward(&Tensor::zeros(&[2, 5]), Mode::Eval).is_err());

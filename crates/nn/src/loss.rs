@@ -181,8 +181,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_perfect_prediction_has_low_loss() {
-        let logits =
-            Tensor::from_vec(&[2, 2], vec![10.0, -10.0, -10.0, 10.0]).unwrap();
+        let logits = Tensor::from_vec(&[2, 2], vec![10.0, -10.0, -10.0, 10.0]).unwrap();
         let (l, _) = cross_entropy(&logits, &[0, 1]).unwrap();
         assert!(l < 1e-4);
     }
@@ -198,8 +197,7 @@ mod tests {
     fn bce_gradcheck_and_stability() {
         let mut rng = Rng::new(2);
         let logits = Tensor::randn(&[2, 3], 2.0, &mut rng);
-        let targets =
-            Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0]).unwrap();
+        let targets = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0]).unwrap();
         let (_, g) = bce_with_logits(&logits, &targets).unwrap();
         let eps = 1e-3;
         for i in 0..6 {
@@ -225,12 +223,7 @@ mod tests {
         let t1 = Tensor::zeros(&[2]);
         let p2 = Tensor::full(&[2], 2.0);
         let t2 = Tensor::zeros(&[2]);
-        let (l, grads) = weighted_l1_multi(
-            &[p1, p2],
-            &[t1, t2],
-            &[1.0, 0.5],
-        )
-        .unwrap();
+        let (l, grads) = weighted_l1_multi(&[p1, p2], &[t1, t2], &[1.0, 0.5]).unwrap();
         assert!((l - (1.0 + 0.5 * 2.0)).abs() < 1e-6);
         assert_eq!(grads.len(), 2);
         assert_eq!(grads[0].data(), &[0.5, 0.5]);

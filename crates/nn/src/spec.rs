@@ -101,9 +101,11 @@ impl BlockSpec {
                 kernel,
                 stride,
             } => Block::conv_bn_relu(*c_in, *c_out, *kernel, *stride, rng),
-            BlockSpec::Residual { c_in, c_out, stride } => {
-                Block::residual(*c_in, *c_out, *stride, rng)
-            }
+            BlockSpec::Residual {
+                c_in,
+                c_out,
+                stride,
+            } => Block::residual(*c_in, *c_out, *stride, rng),
             BlockSpec::MaxPool { k } => Ok(Block::maxpool(*k)),
             BlockSpec::Transformer { d, heads } => Block::transformer(*d, *heads, rng),
             BlockSpec::PatchEmbed {
@@ -148,7 +150,11 @@ impl BlockSpec {
                     in_shape[2].div_ceil(*stride),
                 ])
             }
-            BlockSpec::Residual { c_in, c_out, stride } => {
+            BlockSpec::Residual {
+                c_in,
+                c_out,
+                stride,
+            } => {
                 if in_shape.len() != 3 || in_shape[0] != *c_in || *stride == 0 {
                     return Err(bad(format!("{self:?} on {in_shape:?}")));
                 }
@@ -217,7 +223,11 @@ impl BlockSpec {
                 kernel,
                 ..
             } => c_out * c_in * kernel * kernel + c_out + 2 * c_out,
-            BlockSpec::Residual { c_in, c_out, stride } => {
+            BlockSpec::Residual {
+                c_in,
+                c_out,
+                stride,
+            } => {
                 let conv1 = c_out * c_in * 9 + c_out;
                 let conv2 = c_out * c_out * 9 + c_out;
                 let bns = 4 * c_out;
@@ -260,13 +270,15 @@ impl BlockSpec {
         let out = self.out_shape(in_shape)?;
         let numel = |s: &[usize]| s.iter().product::<usize>() as u64;
         Ok(match self {
-            BlockSpec::ConvRelu { c_in, .. } => {
-                2 * numel(&out) * (*c_in as u64) * 9 + numel(&out)
-            }
+            BlockSpec::ConvRelu { c_in, .. } => 2 * numel(&out) * (*c_in as u64) * 9 + numel(&out),
             BlockSpec::ConvBnRelu { c_in, kernel, .. } => {
                 2 * numel(&out) * (*c_in as u64) * (*kernel * *kernel) as u64 + 3 * numel(&out)
             }
-            BlockSpec::Residual { c_in, c_out, stride } => {
+            BlockSpec::Residual {
+                c_in,
+                c_out,
+                stride,
+            } => {
                 let mut f = 2 * numel(&out) * (*c_in as u64) * 9; // conv1
                 f += 2 * numel(&out) * (*c_out as u64) * 9; // conv2
                 f += 5 * numel(&out);
@@ -285,9 +297,7 @@ impl BlockSpec {
             }
             BlockSpec::PatchEmbed {
                 channels, patch, ..
-            } => {
-                2 * numel(&out) * (*channels as u64) * (*patch * *patch) as u64 + numel(&out)
-            }
+            } => 2 * numel(&out) * (*channels as u64) * (*patch * *patch) as u64 + numel(&out),
             BlockSpec::TokenEmbed { d, .. } => 2 * in_shape[0] as u64 * *d as u64,
             BlockSpec::Head { features, classes } => {
                 numel(in_shape) + 2 * (features * classes) as u64
@@ -318,7 +328,11 @@ impl BlockSpec {
                 stride,
                 ..
             } => format!("Conv+BN+ReLU({c_in}→{c_out},s{stride})"),
-            BlockSpec::Residual { c_in, c_out, stride } => {
+            BlockSpec::Residual {
+                c_in,
+                c_out,
+                stride,
+            } => {
                 format!("ResidualBlock({c_in}→{c_out},s{stride})")
             }
             BlockSpec::MaxPool { k } => format!("MaxPool({k}x{k})"),

@@ -285,9 +285,9 @@ pub fn finetune(
                 // The predictor consumes accuracies; use 1 - drop as the
                 // improving quantity.
                 predictor.push(1.0 - drop);
-                if let Some(projected) = predictor.predict_final(
-                    (cfg.max_epochs - epoch) / cfg.eval_every.max(1),
-                ) {
+                if let Some(projected) =
+                    predictor.predict_final((cfg.max_epochs - epoch) / cfg.eval_every.max(1))
+                {
                     if 1.0 - projected > cfg.target_drop + 0.002 {
                         terminated_early = true;
                         gmorph_telemetry::point!(
@@ -427,11 +427,10 @@ pub fn surrogate_asymptote(
         // sharing de-specializes features even at constant capacity.
         let specific = cv.per_task_specific.get(t).copied().unwrap_or(0) as f32;
         let shared_frac = (1.0 - specific / now.max(1.0)).clamp(0.0, 1.0);
-        let over_s = (shared_frac - params.free_shared_frac).max(0.0)
-            / (1.0 - params.free_shared_frac);
-        worst = worst.max(
-            params.max_drop * over_r * over_r + params.share_penalty * over_s * over_s,
-        );
+        let over_s =
+            (shared_frac - params.free_shared_frac).max(0.0) / (1.0 - params.free_shared_frac);
+        worst =
+            worst.max(params.max_drop * over_r * over_r + params.share_penalty * over_s * over_s);
     }
     worst += params.dissimilar_penalty * dissimilar_rescales(candidate) as f32;
     let mut noise_rng = Rng::new(graph_noise_seed(candidate, noise_salt));
@@ -476,9 +475,8 @@ pub fn surrogate_finetune(
     // recover *toward* the architecture's asymptote, never below it).
     let init_drop = asymptote + 0.06 + 0.5 * (1.0 - inherited_frac.clamp(0.0, 1.0));
     let tau = params.tau_epochs * (2.0 - inherited_frac.clamp(0.0, 1.0));
-    let drop_at = |e: usize| -> f32 {
-        asymptote + (init_drop - asymptote) * (-(e as f32) / tau).exp()
-    };
+    let drop_at =
+        |e: usize| -> f32 { asymptote + (init_drop - asymptote) * (-(e as f32) / tau).exp() };
 
     let mut records = Vec::new();
     let mut terminated_early = false;
@@ -491,8 +489,7 @@ pub fn surrogate_finetune(
         target_drop = cfg.target_drop
     );
     gmorph_telemetry::counter!("finetune.runs");
-    'outer: for epoch in (cfg.eval_every.max(1)..=cfg.max_epochs).step_by(cfg.eval_every.max(1))
-    {
+    'outer: for epoch in (cfg.eval_every.max(1)..=cfg.max_epochs).step_by(cfg.eval_every.max(1)) {
         epochs_run = epoch;
         let drop = drop_at(epoch);
         let scores: Vec<f32> = teacher_scores.iter().map(|t| t - drop).collect();
@@ -605,9 +602,7 @@ mod tests {
             })
             .collect();
         let teacher_scores: Vec<f32> = (0..2)
-            .map(|t| {
-                gmorph_models::train::evaluate(&mut teachers[t], &split.test, t).unwrap()
-            })
+            .map(|t| gmorph_models::train::evaluate(&mut teachers[t], &split.test, t).unwrap())
             .collect();
         let (graph, store) = parse_models(&teachers).unwrap();
         let (mut tree, _) = generator::generate(&graph, &store, &mut rng).unwrap();
@@ -671,9 +666,7 @@ mod tests {
         let prs = pairs::shareable_pairs(&graph).unwrap();
         let cross = prs
             .iter()
-            .find(|&&(n, m)| {
-                graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id
-            })
+            .find(|&&(n, m)| graph.node(n).unwrap().task_id != graph.node(m).unwrap().task_id)
             .copied()
             .unwrap();
         let (mutated, _) = mutation::mutation_pass(&graph, &[cross]).unwrap();
@@ -753,10 +746,8 @@ mod tests {
             ..Default::default()
         };
         let scores = vec![0.8f32, 0.8];
-        let fresh =
-            surrogate_finetune(&aggressive, &cv, 0.2, &p, &cfg, 3, &scores).unwrap();
-        let inherited =
-            surrogate_finetune(&aggressive, &cv, 1.0, &p, &cfg, 3, &scores).unwrap();
+        let fresh = surrogate_finetune(&aggressive, &cv, 0.2, &p, &cfg, 3, &scores).unwrap();
+        let inherited = surrogate_finetune(&aggressive, &cv, 1.0, &p, &cfg, 3, &scores).unwrap();
         assert!(
             inherited.epochs_run <= fresh.epochs_run,
             "inherited {} !<= fresh {}",
@@ -823,8 +814,7 @@ mod tests {
     #[test]
     fn dissimilar_rescale_counting() {
         let t0 = TaskSpec::classification("a", 2);
-        let g = parse_specs(&[vgg(VggDepth::Vgg11, VisionScale::mini(), &t0).unwrap()])
-            .unwrap();
+        let g = parse_specs(&[vgg(VggDepth::Vgg11, VisionScale::mini(), &t0).unwrap()]).unwrap();
         assert_eq!(dissimilar_rescales(&g), 0);
         let spec = BlockSpec::Rescale {
             from: vec![4, 16, 16],
@@ -838,7 +828,10 @@ mod tests {
     fn streamed_noise_seed_equals_hashing_the_signature_string() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let tasks = [TaskSpec::classification("a", 2), TaskSpec::classification("b", 3)];
+        let tasks = [
+            TaskSpec::classification("a", 2),
+            TaskSpec::classification("b", 3),
+        ];
         let specs: Vec<_> = tasks
             .iter()
             .map(|t| vgg(VggDepth::Vgg11, VisionScale::mini(), t).unwrap())

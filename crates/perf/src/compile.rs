@@ -247,9 +247,7 @@ mod tests {
         let gx = b.backward(&Tensor::ones(y.dims())).unwrap();
 
         let eps = 1e-2f32;
-        let loss = |b: &mut Block, x: &Tensor| -> f32 {
-            b.forward(x, Mode::Train).unwrap().sum()
-        };
+        let loss = |b: &mut Block, x: &Tensor| -> f32 { b.forward(x, Mode::Train).unwrap().sum() };
         for &flat in &[0usize, 7, 15, 31] {
             let mut xp = x.clone();
             xp.data_mut()[flat] += eps;
@@ -268,9 +266,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let tasks = vec![TaskSpec::classification("a", 2)];
         let mut m = TreeModel::new(tasks);
-        let stem = m
-            .add_node((0, 0), primed_block(&mut rng), None)
-            .unwrap();
+        let stem = m.add_node((0, 0), primed_block(&mut rng), None).unwrap();
         m.add_node((0, 1), gmorph_nn::Block::head(5, 2, &mut rng), Some(stem))
             .unwrap();
         let x = Tensor::randn(&[2, 3, 6, 6], 1.0, &mut rng);

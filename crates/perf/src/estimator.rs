@@ -60,8 +60,7 @@ pub fn estimate_latency_ms(graph: &AbsGraph, backend: Backend) -> Result<f64> {
     let mut ms = 0.0f64;
     for (_, node) in graph.iter() {
         let flops = node.spec.flops(&node.input_shape)? as f64;
-        ms += backend.per_op_overhead_us() / 1000.0
-            + flops / backend.throughput_gflops() / 1e6;
+        ms += backend.per_op_overhead_us() / 1000.0 + flops / backend.throughput_gflops() / 1e6;
     }
     Ok(ms)
 }

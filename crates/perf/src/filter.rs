@@ -100,14 +100,11 @@ impl CapacityRuleFilter {
     /// quarantined, or when `cv` matches / is more aggressive than a
     /// quarantined candidate's capacity (the same §5.1 dominance rule,
     /// applied to evaluation failures instead of accuracy failures).
-    pub fn quarantine_verdict(
-        &self,
-        digest: u128,
-        cv: &CapacityVector,
-    ) -> Option<FilterVerdict> {
-        let hit = self.quarantined.iter().any(|(d, q)| {
-            *d == digest || cv == q || cv.more_aggressive_than(q)
-        });
+    pub fn quarantine_verdict(&self, digest: u128, cv: &CapacityVector) -> Option<FilterVerdict> {
+        let hit = self
+            .quarantined
+            .iter()
+            .any(|(d, q)| *d == digest || cv == q || cv.more_aggressive_than(q));
         hit.then_some(FilterVerdict::Quarantined)
     }
 
@@ -278,7 +275,10 @@ mod tests {
     #[test]
     fn quarantine_matches_signature_and_capacity() {
         let mut f = CapacityRuleFilter::new();
-        assert_eq!(f.quarantine_verdict(1, &cv(10, vec![10], vec![10], 0)), None);
+        assert_eq!(
+            f.quarantine_verdict(1, &cv(10, vec![10], vec![10], 0)),
+            None
+        );
         f.record_quarantine(1, cv(100, vec![60, 70], vec![40, 50], 20));
         // Same digest, regardless of capacity.
         assert_eq!(
@@ -312,10 +312,8 @@ mod tests {
         f.record_quarantine(1, cv(10, vec![10], vec![10], 0));
         f.record_quarantine(1, cv(10, vec![10], vec![10], 0));
         assert_eq!(f.quarantined().len(), 1);
-        let restored = CapacityRuleFilter::from_parts(
-            f.failures().to_vec(),
-            f.quarantined().to_vec(),
-        );
+        let restored =
+            CapacityRuleFilter::from_parts(f.failures().to_vec(), f.quarantined().to_vec());
         assert_eq!(
             restored.quarantine_verdict(1, &cv(10, vec![10], vec![10], 0)),
             Some(FilterVerdict::Quarantined)

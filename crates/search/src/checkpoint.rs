@@ -728,7 +728,10 @@ mod tests {
         assert_eq!(back.state.fingerprint, snap.state.fingerprint);
         assert_eq!(back.state.next_iter, snap.state.next_iter);
         assert_eq!(back.state.rng, snap.state.rng);
-        assert_eq!(back.state.last_drop.to_bits(), snap.state.last_drop.to_bits());
+        assert_eq!(
+            back.state.last_drop.to_bits(),
+            snap.state.last_drop.to_bits()
+        );
         assert_eq!(
             back.state.clock_seconds.to_bits(),
             snap.state.clock_seconds.to_bits()
@@ -744,7 +747,10 @@ mod tests {
             back.state.history.elites()[0].mini.signature(),
             snap.state.history.elites()[0].mini.signature()
         );
-        assert_eq!(back.best.latency_ms.to_bits(), snap.best.latency_ms.to_bits());
+        assert_eq!(
+            back.best.latency_ms.to_bits(),
+            snap.best.latency_ms.to_bits()
+        );
         assert_eq!(back.duplicates, 2);
         assert_eq!(back.failed, 1);
         assert_eq!(back.quarantined_count, 1);
@@ -822,7 +828,11 @@ mod tests {
             w.put_u128(2);
             w.put_u32(0); // No elites.
             let mut env = base.clone();
-            let slot = env.sections.iter_mut().find(|(n, _)| n == "history").unwrap();
+            let slot = env
+                .sections
+                .iter_mut()
+                .find(|(n, _)| n == "history")
+                .unwrap();
             slot.1 = w.into_bytes();
             SearchSnapshot::decode(&env)
         };
@@ -831,7 +841,10 @@ mod tests {
         // 36 bytes follow the count: room for two digests, not three.
         for count in [3, u64::MAX] {
             let err = with_history(count).unwrap_err();
-            assert!(is_corruption(&err) && err.to_string().contains("exceeds"), "{err}");
+            assert!(
+                is_corruption(&err) && err.to_string().contains("exceeds"),
+                "{err}"
+            );
         }
     }
 
@@ -871,7 +884,8 @@ mod tests {
         opts.every = 100; // Never hits the schedule.
         {
             let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-            mgr.tick(3..=3, sample_snapshot().encode().unwrap()).unwrap();
+            mgr.tick(3..=3, sample_snapshot().encode().unwrap())
+                .unwrap();
         } // Drop writes iteration 3.
         assert_eq!(snapshot_files(&dir, SEARCH_KIND).len(), 1);
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
@@ -905,7 +919,8 @@ mod tests {
         let dir = tmp_dir("fpr");
         let opts = CheckpointOptions::new(&dir);
         let mut mgr = CheckpointManager::new(&opts, SEARCH_KIND);
-        mgr.tick(1..=1, sample_snapshot().encode().unwrap()).unwrap();
+        mgr.tick(1..=1, sample_snapshot().encode().unwrap())
+            .unwrap();
         assert!(load_latest_search(&dir, 0xDEAD).unwrap().is_none());
         assert!(load_latest_search(&dir, 0xABCD).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();

@@ -820,8 +820,7 @@ pub fn propose_candidate(
     }
     for _ in 0..8 {
         let k = 1 + rng.below(max_ops_per_pass.max(1));
-        let chosen: Vec<(NodeId, NodeId)> =
-            (0..k).map(|_| pairs[rng.below(pairs.len())]).collect();
+        let chosen: Vec<(NodeId, NodeId)> = (0..k).map(|_| pairs[rng.below(pairs.len())]).collect();
         let (cand_mini, ops_mini) = mutation::mutation_pass(base_mini, &chosen)?;
         if ops_mini.is_empty() {
             continue;
@@ -877,8 +876,8 @@ mod tests {
     use crate::evaluator::SurrogateContext;
     use gmorph_data::TaskSpec;
     use gmorph_graph::parser::parse_specs;
-    use gmorph_perf::accuracy::SurrogateParams;
     use gmorph_models::families::{vgg, VggDepth, VisionScale};
+    use gmorph_perf::accuracy::SurrogateParams;
 
     fn setup() -> (AbsGraph, AbsGraph, WeightStore, EvalMode) {
         let t0 = TaskSpec::classification("a", 2);
@@ -1022,10 +1021,9 @@ mod tests {
         // With one model there are no cross-branch pairs, but in-branch
         // mutations (panel 1) remain legal.
         let t0 = TaskSpec::classification("solo", 2);
-        let mini = parse_specs(&[vgg(VggDepth::Vgg13, VisionScale::mini(), &t0).unwrap()])
-            .unwrap();
-        let paper = parse_specs(&[vgg(VggDepth::Vgg13, VisionScale::paper(), &t0).unwrap()])
-            .unwrap();
+        let mini = parse_specs(&[vgg(VggDepth::Vgg13, VisionScale::mini(), &t0).unwrap()]).unwrap();
+        let paper =
+            parse_specs(&[vgg(VggDepth::Vgg13, VisionScale::paper(), &t0).unwrap()]).unwrap();
         let mut weights = WeightStore::new();
         for (_, n) in mini.iter() {
             weights.insert(n.key(), n.spec.clone(), Vec::new());
@@ -1048,12 +1046,13 @@ mod tests {
         cfg.finetune.target_drop = 0.0;
         cfg.finetune.early_termination = true;
         let res = run_search(&mini, &paper, &weights, &mode, &cfg).unwrap();
-        let count = |st: CandidateStatus| {
-            res.trace.iter().filter(|r| r.status == st).count()
-        };
+        let count = |st: CandidateStatus| res.trace.iter().filter(|r| r.status == st).count();
         assert_eq!(count(CandidateStatus::RuleFiltered), res.rule_filtered);
         assert_eq!(count(CandidateStatus::Duplicate), res.duplicates);
-        assert_eq!(count(CandidateStatus::TerminatedEarly), res.early_terminated);
+        assert_eq!(
+            count(CandidateStatus::TerminatedEarly),
+            res.early_terminated
+        );
         assert_eq!(
             count(CandidateStatus::Evaluated) + res.early_terminated,
             res.evaluated
@@ -1092,10 +1091,7 @@ mod tests {
         assert_eq!(by_status("rule_filtered"), res.rule_filtered);
         assert_eq!(by_status("duplicate"), res.duplicates);
         assert_eq!(by_status("terminated_early"), res.early_terminated);
-        assert_eq!(
-            by_status("evaluated") + res.early_terminated,
-            res.evaluated
-        );
+        assert_eq!(by_status("evaluated") + res.early_terminated, res.evaluated);
 
         // Events mirror the trace record-for-record.
         for (e, r) in iters.iter().zip(res.trace.iter()) {
@@ -1170,7 +1166,12 @@ mod tests {
         let seq = run_rounds(&quick_cfg(32), 1).unwrap();
         let bat = run_rounds(&quick_cfg(32), 4).unwrap();
         // Same candidate budget: quality within a factor.
-        assert!(bat.speedup > seq.speedup * 0.5, "{} vs {}", bat.speedup, seq.speedup);
+        assert!(
+            bat.speedup > seq.speedup * 0.5,
+            "{} vs {}",
+            bat.speedup,
+            seq.speedup
+        );
     }
 
     #[test]
@@ -1212,7 +1213,10 @@ mod tests {
         let run = || run_rounds(&quick_cfg(24), 4).unwrap();
         let one = engine::with_thread_limit(1, run);
         let four = engine::with_thread_limit(4, run);
-        assert_eq!(one.best.latency_ms.to_bits(), four.best.latency_ms.to_bits());
+        assert_eq!(
+            one.best.latency_ms.to_bits(),
+            four.best.latency_ms.to_bits()
+        );
         assert_eq!(one.virtual_hours.to_bits(), four.virtual_hours.to_bits());
         for (a, b) in one.trace.iter().zip(&four.trace) {
             assert_eq!(a.status, b.status);
@@ -1225,13 +1229,8 @@ mod tests {
     fn mismatched_scales_rejected() {
         let (mini, _, weights, mode) = setup();
         let t0 = TaskSpec::classification("a", 2);
-        let short = parse_specs(&[vgg(
-            VggDepth::Vgg11,
-            VisionScale::paper(),
-            &t0,
-        )
-        .unwrap()])
-        .unwrap();
+        let short =
+            parse_specs(&[vgg(VggDepth::Vgg11, VisionScale::paper(), &t0).unwrap()]).unwrap();
         assert!(run_search(&mini, &short, &weights, &mode, &quick_cfg(5)).is_err());
     }
 }

@@ -127,16 +127,11 @@ impl History {
     pub(crate) fn add_elite(&mut self, elite: Elite) {
         if self.elites.len() >= self.max_elites {
             // Keep the list focused on the fastest satisfying models.
-            if let Some((worst_idx, worst)) = self
-                .elites
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.latency_ms
-                        .partial_cmp(&b.1.latency_ms)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-            {
+            if let Some((worst_idx, worst)) = self.elites.iter().enumerate().max_by(|a, b| {
+                a.1.latency_ms
+                    .partial_cmp(&b.1.latency_ms)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            }) {
                 if worst.latency_ms > elite.latency_ms {
                     self.elites[worst_idx] = elite;
                 }

@@ -26,10 +26,8 @@ pub mod policy;
 pub mod supervisor;
 
 pub use checkpoint::{CheckpointManager, CheckpointOptions, CrashKind};
-pub use driver::{
-    run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord,
-};
+pub use driver::{run_search, run_search_checkpointed, SearchConfig, SearchResult, TraceRecord};
 pub use evaluator::{EvalMode, RealContext, SurrogateContext};
-pub use supervisor::{FailureReport, SupervisorConfig};
 pub use history::{Elite, History};
 pub use policy::{PolicyKind, SimulatedAnnealing};
+pub use supervisor::{FailureReport, SupervisorConfig};

@@ -314,10 +314,8 @@ mod tests {
             ..Default::default()
         };
         let mut rng = Rng::new(1);
-        let report = evaluate_supervised(
-            &mode, &cand, &weights, &cfg(), &sup, 7, 3, &mut rng, 42,
-        )
-        .unwrap_err();
+        let report = evaluate_supervised(&mode, &cand, &weights, &cfg(), &sup, 7, 3, &mut rng, 42)
+            .unwrap_err();
         assert_eq!(report.kind, FailureKind::NonFinite);
         assert_eq!(report.attempts, 1 + sup.max_retries);
     }
@@ -333,10 +331,9 @@ mod tests {
             ..Default::default()
         };
         let mut rng = Rng::new(1);
-        assert!(evaluate_supervised(
-            &mode, &cand, &weights, &cfg(), &sup, 7, 4, &mut rng, 42,
-        )
-        .is_ok());
+        assert!(
+            evaluate_supervised(&mode, &cand, &weights, &cfg(), &sup, 7, 4, &mut rng, 42,).is_ok()
+        );
     }
 
     #[test]
@@ -350,10 +347,8 @@ mod tests {
             }),
         };
         let mut rng = Rng::new(1);
-        let report = evaluate_supervised(
-            &mode, &cand, &weights, &cfg(), &sup, 7, 2, &mut rng, 42,
-        )
-        .unwrap_err();
+        let report = evaluate_supervised(&mode, &cand, &weights, &cfg(), &sup, 7, 2, &mut rng, 42)
+            .unwrap_err();
         assert_eq!(report.kind, FailureKind::Panic);
         assert_eq!(report.attempts, 2, "panic is transient: one retry");
     }
@@ -373,10 +368,9 @@ mod tests {
             ..cfg()
         };
         let mut rng = Rng::new(1);
-        let report = evaluate_supervised(
-            &mode, &cand, &weights, &finetune, &sup, 7, 5, &mut rng, 42,
-        )
-        .unwrap_err();
+        let report =
+            evaluate_supervised(&mode, &cand, &weights, &finetune, &sup, 7, 5, &mut rng, 42)
+                .unwrap_err();
         assert_eq!(report.kind, FailureKind::Timeout);
         assert_eq!(report.attempts, 1, "timeouts are permanent: no retry");
     }

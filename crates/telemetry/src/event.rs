@@ -73,7 +73,9 @@ impl From<u32> for Value {
 }
 impl From<u64> for Value {
     fn from(v: u64) -> Value {
-        i64::try_from(v).map(Value::Int).unwrap_or(Value::Float(v as f64))
+        i64::try_from(v)
+            .map(Value::Int)
+            .unwrap_or(Value::Float(v as f64))
     }
 }
 impl From<usize> for Value {
@@ -253,8 +255,8 @@ impl Event {
         };
         let mut fields = Vec::with_capacity(fields_obj.len());
         for (k, v) in &fields_obj {
-            let value = Value::from_json(v)
-                .ok_or_else(|| format!("field {k:?} has a non-scalar value"))?;
+            let value =
+                Value::from_json(v).ok_or_else(|| format!("field {k:?} has a non-scalar value"))?;
             fields.push((k.clone(), value));
         }
         Ok(Event {
@@ -332,9 +334,9 @@ mod tests {
     fn rejects_malformed_lines() {
         assert!(Event::from_json("{}").is_err());
         assert!(Event::from_json("not json").is_err());
-        assert!(
-            Event::from_json(r#"{"ts_us":1,"kind":"nope","name":"x","span":0,"parent":0,"thread":0,"fields":{}}"#)
-                .is_err()
-        );
+        assert!(Event::from_json(
+            r#"{"ts_us":1,"kind":"nope","name":"x","span":0,"parent":0,"thread":0,"fields":{}}"#
+        )
+        .is_err());
     }
 }

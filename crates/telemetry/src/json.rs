@@ -231,7 +231,10 @@ impl<'a> Parser<'a> {
     /// Parses an array or object one level deeper, up to [`MAX_DEPTH`].
     fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
         if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
         }
         self.depth += 1;
         let v = parse(self);
@@ -279,17 +282,14 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err("truncated \\u escape".to_string());
                             }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|_| "bad \\u escape".to_string())?;
+                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                                .map_err(|_| "bad \\u escape".to_string())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
-                        other => {
-                            return Err(format!("unknown escape \\{}", other as char))
-                        }
+                        other => return Err(format!("unknown escape \\{}", other as char)),
                     }
                 }
                 _ => return Err("unterminated string".to_string()),

@@ -34,7 +34,9 @@ pub fn validate_line(line: &str) -> Result<Event, String> {
     }
     // Unknown top-level keys are rejected: the schema is closed.
     if let Json::Obj(map) = &doc {
-        const KEYS: [&str; 7] = ["ts_us", "kind", "name", "span", "parent", "thread", "fields"];
+        const KEYS: [&str; 7] = [
+            "ts_us", "kind", "name", "span", "parent", "thread", "fields",
+        ];
         for key in map.keys() {
             if !KEYS.contains(&key.as_str()) {
                 return Err(format!("unknown top-level key {key:?}"));
@@ -99,9 +101,7 @@ pub struct TraceStats {
 }
 
 /// Validates every line of a trace and the cross-line span invariants.
-pub fn validate_events<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<TraceStats, String> {
+pub fn validate_events<'a>(lines: impl Iterator<Item = &'a str>) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     let mut names = std::collections::BTreeSet::new();
     let mut threads = std::collections::BTreeSet::new();
@@ -111,8 +111,7 @@ pub fn validate_events<'a>(
         if line.trim().is_empty() {
             continue;
         }
-        let event =
-            validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let event = validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         stats.lines += 1;
         *stats
             .by_kind

@@ -54,10 +54,7 @@ impl SpanGuard {
     /// Opens a span when telemetry is enabled; otherwise returns an inert
     /// guard without touching the field closure (no allocation on the
     /// disabled path).
-    pub fn enter(
-        name: &'static str,
-        fields: impl FnOnce() -> Vec<(String, Value)>,
-    ) -> SpanGuard {
+    pub fn enter(name: &'static str, fields: impl FnOnce() -> Vec<(String, Value)>) -> SpanGuard {
         if !crate::enabled() {
             return SpanGuard {
                 id: 0,

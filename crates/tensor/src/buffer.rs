@@ -40,8 +40,7 @@ const MAX_POOL_BYTES: usize = 256 << 20;
 /// beats a mutex round-trip).
 const MIN_POOL_LEN: usize = 256;
 
-static BUCKETS: [Mutex<Vec<Vec<f32>>>; NBUCKETS] =
-    [const { Mutex::new(Vec::new()) }; NBUCKETS];
+static BUCKETS: [Mutex<Vec<Vec<f32>>>; NBUCKETS] = [const { Mutex::new(Vec::new()) }; NBUCKETS];
 static POOLED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Tri-state enable override: -1 unset (consult env), 0 off, 1 on.

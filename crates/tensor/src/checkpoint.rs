@@ -750,7 +750,9 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(ByteReader::new(&bytes).get_count(16).unwrap(), 2);
         // One byte short of the second element.
-        let err = ByteReader::new(&bytes[..bytes.len() - 1]).get_count(16).unwrap_err();
+        let err = ByteReader::new(&bytes[..bytes.len() - 1])
+            .get_count(16)
+            .unwrap_err();
         assert!(is_corruption(&err), "{err}");
         let mut w = ByteWriter::new();
         w.put_u64(u64::MAX);

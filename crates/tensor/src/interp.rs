@@ -58,10 +58,8 @@ fn taps_for(
         }
         InterpMode::Bilinear => {
             // align_corners = false mapping, clamped to the border.
-            let fy = ((oy as f32 + 0.5) * h as f32 / oh as f32 - 0.5)
-                .clamp(0.0, (h - 1) as f32);
-            let fx = ((ox as f32 + 0.5) * w as f32 / ow as f32 - 0.5)
-                .clamp(0.0, (w - 1) as f32);
+            let fy = ((oy as f32 + 0.5) * h as f32 / oh as f32 - 0.5).clamp(0.0, (h - 1) as f32);
+            let fx = ((ox as f32 + 0.5) * w as f32 / ow as f32 - 0.5).clamp(0.0, (w - 1) as f32);
             let y0 = fy.floor() as usize;
             let x0 = fx.floor() as usize;
             let y1 = (y0 + 1).min(h - 1);
@@ -134,12 +132,7 @@ pub fn resize2d_backward(
     input_dims: &[usize],
     mode: InterpMode,
 ) -> Result<Tensor> {
-    let (n, c, h, w) = (
-        input_dims[0],
-        input_dims[1],
-        input_dims[2],
-        input_dims[3],
-    );
+    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
     let (gn, gc, oh, ow) = check_nchw(grad_output, "resize2d_backward")?;
     if gn != n || gc != c {
         return Err(TensorError::ShapeMismatch {

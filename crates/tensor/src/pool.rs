@@ -148,12 +148,7 @@ pub fn global_avgpool_forward(input: &Tensor) -> Result<Tensor> {
 
 /// Backward pass for global average pooling.
 pub fn global_avgpool_backward(grad_output: &Tensor, input_dims: &[usize]) -> Result<Tensor> {
-    let (n, c, h, w) = (
-        input_dims[0],
-        input_dims[1],
-        input_dims[2],
-        input_dims[3],
-    );
+    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
     if grad_output.dims() != [n, c] {
         return Err(TensorError::ShapeMismatch {
             op: "global_avgpool_backward",
@@ -210,10 +205,7 @@ mod tests {
         let y = global_avgpool_forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
         // Matches a manual mean of one plane.
-        let manual: f32 = (0..16)
-            .map(|i| x.data()[3 * 16 + 2 * 16 + i])
-            .sum::<f32>()
-            / 16.0;
+        let manual: f32 = (0..16).map(|i| x.data()[3 * 16 + 2 * 16 + i]).sum::<f32>() / 16.0;
         assert!((y.at(&[1, 2]).unwrap() - manual).abs() < 1e-5);
         // Backward spreads gradient uniformly and conserves mass.
         let go = Tensor::ones(&[2, 3]);

@@ -376,20 +376,112 @@ mod tests {
     /// generator. Every seed-tuned threshold in the repo relies on these
     /// streams.
     const PIN_SEED_0: [u64; 52] = [
-        0x0, 0x1, 0x1, 0xbc795, 0x37fc854f12, 0xcb30ce1ac9ff61c6, 0x3e706bf8, 0x3eff5290,
-        0x3d770700, 0x3e172efa, 0xbe5021e8, 0xbc8e94a5, 0x1, 0x3dac469a, 0xf973f2ec, 0x45cdb581,
-        0x7346f087, 0xad6cad06, 0xe3a3d0d0, 0x67e71733, 0x72ea9bf2, 0xfe7d8ad7, 0x2, 0x9e0d7fac,
-        0xbfd4a4ae, 0x87b83854, 0xf80c4de3, 0xd9987f7e, 0xff0ea77d, 0x48501800, 0x23ae2c7b,
-        0xbd4b7bb, 0x1ce4b87b, 0xfd960655, 0xf6ff78ef, 0x34bb13f0, 0xca57b62, 0x6e3bd6a2,
-        0x6cfacf84, 0x8, 0x4, 0x6, 0x8, 0x2, 0x9, 0x5, 0x7, 0x3, 0x0, 0x1, 0x23a2906, 0x3f3c2782,
+        0x0,
+        0x1,
+        0x1,
+        0xbc795,
+        0x37fc854f12,
+        0xcb30ce1ac9ff61c6,
+        0x3e706bf8,
+        0x3eff5290,
+        0x3d770700,
+        0x3e172efa,
+        0xbe5021e8,
+        0xbc8e94a5,
+        0x1,
+        0x3dac469a,
+        0xf973f2ec,
+        0x45cdb581,
+        0x7346f087,
+        0xad6cad06,
+        0xe3a3d0d0,
+        0x67e71733,
+        0x72ea9bf2,
+        0xfe7d8ad7,
+        0x2,
+        0x9e0d7fac,
+        0xbfd4a4ae,
+        0x87b83854,
+        0xf80c4de3,
+        0xd9987f7e,
+        0xff0ea77d,
+        0x48501800,
+        0x23ae2c7b,
+        0xbd4b7bb,
+        0x1ce4b87b,
+        0xfd960655,
+        0xf6ff78ef,
+        0x34bb13f0,
+        0xca57b62,
+        0x6e3bd6a2,
+        0x6cfacf84,
+        0x8,
+        0x4,
+        0x6,
+        0x8,
+        0x2,
+        0x9,
+        0x5,
+        0x7,
+        0x3,
+        0x0,
+        0x1,
+        0x23a2906,
+        0x3f3c2782,
     ];
     const PIN_SEARCH_SEED_5: [u64; 52] = [
-        0x0, 0x0, 0x3, 0xc94a0, 0x5baa73b85a, 0x475714df33bf3dca, 0x3f21824c, 0x3f711950,
-        0x3f6d6750, 0x3e86d1c7, 0x3f38e2a6, 0xbe38ab5b, 0x0, 0x3edc80dc, 0xd8009d2d, 0xe5eaa767,
-        0x6fff6643, 0xcd7d6263, 0x12ab65f4, 0x22c4b2cb, 0x31c8203e, 0x1b715ed5, 0x3, 0x5028473d,
-        0xff3c5ec7, 0x973b914c, 0x5f17b57e, 0x857b35c6, 0x76672c35, 0xef64bf1, 0xc0af79a7,
-        0x6b7be0a0, 0xae5dbde2, 0xa40eed03, 0x4236c967, 0x6c23bf36, 0xdbdddecd, 0x65e82ae0,
-        0x69730ef2, 0x2, 0x1, 0x4, 0x0, 0x5, 0x3, 0x9, 0x8, 0x2, 0x6, 0x7, 0x218db521, 0x3f8af889,
+        0x0,
+        0x0,
+        0x3,
+        0xc94a0,
+        0x5baa73b85a,
+        0x475714df33bf3dca,
+        0x3f21824c,
+        0x3f711950,
+        0x3f6d6750,
+        0x3e86d1c7,
+        0x3f38e2a6,
+        0xbe38ab5b,
+        0x0,
+        0x3edc80dc,
+        0xd8009d2d,
+        0xe5eaa767,
+        0x6fff6643,
+        0xcd7d6263,
+        0x12ab65f4,
+        0x22c4b2cb,
+        0x31c8203e,
+        0x1b715ed5,
+        0x3,
+        0x5028473d,
+        0xff3c5ec7,
+        0x973b914c,
+        0x5f17b57e,
+        0x857b35c6,
+        0x76672c35,
+        0xef64bf1,
+        0xc0af79a7,
+        0x6b7be0a0,
+        0xae5dbde2,
+        0xa40eed03,
+        0x4236c967,
+        0x6c23bf36,
+        0xdbdddecd,
+        0x65e82ae0,
+        0x69730ef2,
+        0x2,
+        0x1,
+        0x4,
+        0x0,
+        0x5,
+        0x3,
+        0x9,
+        0x8,
+        0x2,
+        0x6,
+        0x7,
+        0x218db521,
+        0x3f8af889,
     ];
 
     #[test]

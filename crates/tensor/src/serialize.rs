@@ -119,8 +119,14 @@ mod tests {
     fn state_dict_roundtrip() {
         let mut rng = Rng::new(1);
         let entries = vec![
-            ("layer0.weight".to_string(), Tensor::randn(&[4, 4], 1.0, &mut rng)),
-            ("layer0.bias".to_string(), Tensor::randn(&[4], 1.0, &mut rng)),
+            (
+                "layer0.weight".to_string(),
+                Tensor::randn(&[4, 4], 1.0, &mut rng),
+            ),
+            (
+                "layer0.bias".to_string(),
+                Tensor::randn(&[4], 1.0, &mut rng),
+            ),
             ("scalar".to_string(), Tensor::full(&[], 7.0)),
         ];
         let mut w = ByteWriter::new();

@@ -104,12 +104,7 @@ impl Shape {
     /// shapes are similar when "any or all of the width, height, and channel
     /// dimensions are the same".
     pub fn shares_any_dim(&self, other: &Shape) -> bool {
-        self.rank() == other.rank()
-            && self
-                .dims
-                .iter()
-                .zip(other.dims.iter())
-                .any(|(a, b)| a == b)
+        self.rank() == other.rank() && self.dims.iter().zip(other.dims.iter()).any(|(a, b)| a == b)
     }
 }
 

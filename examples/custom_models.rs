@@ -39,10 +39,26 @@ fn main() -> gmorph::tensor::Result<()> {
     let slim = ModelSpec::new(
         "GenderNet: SlimNet",
         vec![
-            BlockSpec::ConvBnRelu { c_in: 3, c_out: 6, kernel: 3, stride: 2 },
-            BlockSpec::ConvBnRelu { c_in: 6, c_out: 12, kernel: 3, stride: 2 },
-            BlockSpec::ConvRelu { c_in: 12, c_out: 12 },
-            BlockSpec::Head { features: 12, classes: ds.tasks[0].classes },
+            BlockSpec::ConvBnRelu {
+                c_in: 3,
+                c_out: 6,
+                kernel: 3,
+                stride: 2,
+            },
+            BlockSpec::ConvBnRelu {
+                c_in: 6,
+                c_out: 12,
+                kernel: 3,
+                stride: 2,
+            },
+            BlockSpec::ConvRelu {
+                c_in: 12,
+                c_out: 12,
+            },
+            BlockSpec::Head {
+                features: 12,
+                classes: ds.tasks[0].classes,
+            },
         ],
         ds.tasks[0].clone(),
         vec![3, 16, 16],
@@ -55,10 +71,19 @@ fn main() -> gmorph::tensor::Result<()> {
             BlockSpec::ConvRelu { c_in: 8, c_out: 8 },
             BlockSpec::ConvRelu { c_in: 8, c_out: 16 },
             BlockSpec::MaxPool { k: 2 },
-            BlockSpec::ConvRelu { c_in: 16, c_out: 16 },
-            BlockSpec::ConvRelu { c_in: 16, c_out: 16 },
+            BlockSpec::ConvRelu {
+                c_in: 16,
+                c_out: 16,
+            },
+            BlockSpec::ConvRelu {
+                c_in: 16,
+                c_out: 16,
+            },
             BlockSpec::MaxPool { k: 2 },
-            BlockSpec::Head { features: 16, classes: ds.tasks[1].classes },
+            BlockSpec::Head {
+                features: 16,
+                classes: ds.tasks[1].classes,
+            },
         ],
         ds.tasks[1].clone(),
         vec![3, 16, 16],
@@ -74,9 +99,17 @@ fn main() -> gmorph::tensor::Result<()> {
             &split.train,
             &split.test,
             i,
-            &TrainConfig { epochs: 6, batch: 32, lr: 3e-3, seed: 77 },
+            &TrainConfig {
+                epochs: 6,
+                batch: 32,
+                lr: 3e-3,
+                seed: 77,
+            },
         )?;
-        println!("teacher {:<22} score {:.3}", model.spec.name, report.final_score);
+        println!(
+            "teacher {:<22} score {:.3}",
+            model.spec.name, report.final_score
+        );
         teacher_scores.push(report.final_score);
         teachers.push(model);
     }
@@ -123,7 +156,10 @@ fn main() -> gmorph::tensor::Result<()> {
         gmorph::graph::generator::generate(&result.best.mini, &result.best.weights, &mut rng2)?;
     let lat_o = measure_latency_ms(&mut orig, &x, 1, 9)?;
     let lat_f = measure_latency_ms(&mut fused, &x, 1, 9)?;
-    println!("measured (batch 4): {lat_o:.2} ms -> {lat_f:.2} ms ({:.2}x)", lat_o / lat_f);
+    println!(
+        "measured (batch 4): {lat_o:.2} ms -> {lat_f:.2} ms ({:.2}x)",
+        lat_o / lat_f
+    );
     println!(
         "eager vs fused backends agree fusion helps: {:.2}x / {:.2}x",
         result.original_latency_ms / result.best.latency_ms,

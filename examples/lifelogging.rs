@@ -12,8 +12,8 @@
 //! cargo run --release --example lifelogging
 //! ```
 
-use gmorph::prelude::*;
 use gmorph::perf::estimator::estimate_latency_ms;
+use gmorph::prelude::*;
 
 fn main() -> gmorph::tensor::Result<()> {
     println!("== Lifelogging: ObjectNet (ResNet-34) + SalientNet (VGG-16) ==");

@@ -44,10 +44,7 @@ fn main() -> gmorph::tensor::Result<()> {
     let result = session.optimize(&cfg)?;
     println!(
         "offline search: {:.2} ms -> {:.2} ms ({:.2}x estimated), {:.1} virtual GPU-hours",
-        result.original_latency_ms,
-        result.best.latency_ms,
-        result.speedup,
-        result.virtual_hours
+        result.original_latency_ms, result.best.latency_ms, result.speedup, result.virtual_hours
     );
 
     // Online: throughput of original vs fused vs compiled-fused.

@@ -8,8 +8,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gmorph::prelude::*;
 use gmorph::perf::estimator::measure_latency_ms;
+use gmorph::prelude::*;
 
 fn main() -> gmorph::tensor::Result<()> {
     // 1. A benchmark with two tasks over one stream: B4-style scenes with
@@ -49,7 +49,10 @@ fn main() -> gmorph::tensor::Result<()> {
         seed: 42,
         ..Default::default()
     };
-    println!("searching ({} iterations, real fine-tuning)...", cfg.iterations);
+    println!(
+        "searching ({} iterations, real fine-tuning)...",
+        cfg.iterations
+    );
     let result = session.optimize(&cfg)?;
 
     // 4. Report: estimated paper-scale latency and measured mini latency.

@@ -49,7 +49,10 @@ fn main() -> gmorph::tensor::Result<()> {
             result.evaluated
         );
         if threshold == 0.02 {
-            println!("\nbest model at the 2% budget:\n{}", result.best.mini.render());
+            println!(
+                "\nbest model at the 2% budget:\n{}",
+                result.best.mini.render()
+            );
         }
     }
     Ok(())

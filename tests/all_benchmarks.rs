@@ -100,8 +100,12 @@ fn b7_language_models() {
 
 #[test]
 fn searches_are_reproducible_across_sessions() {
-    let a = prepare(BenchId::B3, 77).optimize(&surrogate_cfg(77)).unwrap();
-    let b = prepare(BenchId::B3, 77).optimize(&surrogate_cfg(77)).unwrap();
+    let a = prepare(BenchId::B3, 77)
+        .optimize(&surrogate_cfg(77))
+        .unwrap();
+    let b = prepare(BenchId::B3, 77)
+        .optimize(&surrogate_cfg(77))
+        .unwrap();
     assert_eq!(a.best.latency_ms, b.best.latency_ms);
     assert_eq!(a.evaluated, b.evaluated);
     assert_eq!(a.best.mini.signature(), b.best.mini.signature());

@@ -167,7 +167,10 @@ fn crash_and_resume(
             Some(&opts),
         )
     }));
-    assert!(crashed.is_err(), "crash at iteration {interrupt} must panic");
+    assert!(
+        crashed.is_err(),
+        "crash at iteration {interrupt} must panic"
+    );
 
     let mut resume = CheckpointOptions::new(dir);
     resume.every = 1;

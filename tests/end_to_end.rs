@@ -67,7 +67,12 @@ fn fused_model_is_measurably_faster_when_sharing_lands() {
     let result = session.optimize(&cfg).unwrap();
     if result.speedup > 1.0 {
         // Estimated speedup must be corroborated by the real engine.
-        let x = session.split.test.inputs.select_rows(&[0, 1, 2, 3]).unwrap();
+        let x = session
+            .split
+            .test
+            .inputs
+            .select_rows(&[0, 1, 2, 3])
+            .unwrap();
         let mut orig = session
             .materialize(&session.mini_graph, &session.weights)
             .unwrap();
@@ -91,11 +96,7 @@ fn real_mode_drop_is_anchored_to_teacher_scores() {
     let session = quick_session(BenchId::B4, 13);
     // Teachers were just trained; their scores should be meaningful.
     for (spec, &score) in session.bench.mini.iter().zip(&session.teacher_scores) {
-        assert!(
-            (0.0..=1.0).contains(&score),
-            "{}: score {score}",
-            spec.name
-        );
+        assert!((0.0..=1.0).contains(&score), "{}: score {score}", spec.name);
     }
     let cfg = OptimizationConfig {
         accuracy_threshold: 0.10,

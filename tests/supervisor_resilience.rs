@@ -94,7 +94,11 @@ fn injected_faults_are_contained_and_search_completes() {
         assert_eq!(reference.failed, 0);
         let fault_iter = first_evaluated_iter(&reference);
 
-        for kind in [FaultKind::NanLoss, FaultKind::GradExplode, FaultKind::PanicEval] {
+        for kind in [
+            FaultKind::NanLoss,
+            FaultKind::GradExplode,
+            FaultKind::PanicEval,
+        ] {
             let what = format!("{kind:?} per_round={per_round}");
             let mut faulted_cfg = cfg.clone();
             faulted_cfg.supervisor.fault = Some(FaultSpec {
@@ -175,11 +179,7 @@ fn slow_candidate_times_out_and_is_quarantined() {
     assert_eq!(faulted.failed, 1);
     assert_eq!(retry_events, 0, "timeouts must not be retried");
     assert!(quarantine_events >= 1);
-    let rec = faulted
-        .trace
-        .iter()
-        .find(|r| r.iter == fault_iter)
-        .unwrap();
+    let rec = faulted.trace.iter().find(|r| r.iter == fault_iter).unwrap();
     assert_eq!(rec.status, CandidateStatus::Failed);
 }
 

@@ -262,8 +262,14 @@ fn disabled_telemetry_is_silent() {
         gmorph::telemetry::counter!("test.disabled.counter");
     }
     assert_eq!(telemetry::metrics::counter_value("gemm.calls"), 0);
-    assert_eq!(telemetry::metrics::counter_value("engine.dispatch.pooled"), 0);
-    assert_eq!(telemetry::metrics::counter_value("test.disabled.counter"), 0);
+    assert_eq!(
+        telemetry::metrics::counter_value("engine.dispatch.pooled"),
+        0
+    );
+    assert_eq!(
+        telemetry::metrics::counter_value("test.disabled.counter"),
+        0
+    );
     assert!(telemetry::metrics::counters().is_empty());
     assert!(telemetry::metrics::histograms().is_empty());
 }
