@@ -273,7 +273,10 @@ impl WorkerPool {
         }
 
         if let Some(start) = dispatch_start {
-            gmorph_telemetry::hist!("engine.dispatch_us", start.elapsed().as_micros() as f64);
+            gmorph_telemetry::hist!(
+                "engine.dispatch_us",
+                start.elapsed().as_nanos() as f64 / 1e3
+            );
         }
 
         let payload = job.panic.lock().unwrap().take();
