@@ -255,7 +255,8 @@ impl BenchRecord {
 
 /// Prints `records` as a table and writes `name` under `out_dir`: a JSON
 /// object of the machine's `nproc`, the engine's `threads`, the buffer
-/// `pool` state, the `simd` kernel instance and the `records` array.
+/// `pool` state, the `simd` kernel instance and the `records` array, plus
+/// a `notes` object of `(key, text)` pairs when there are any.
 ///
 /// Readers key records on `(op, config, shape, threads)`, so two records
 /// with the same key are an error and nothing is written.
@@ -263,6 +264,7 @@ pub(crate) fn write_bench_json(
     out_dir: &std::path::Path,
     name: &str,
     records: &[BenchRecord],
+    notes: &[(String, String)],
 ) -> gmorph::tensor::Result<()> {
     let mut keys = std::collections::HashSet::new();
     if let Some(r) = records
@@ -290,7 +292,7 @@ pub(crate) fn write_bench_json(
             r.op, r.config, r.shape, r.threads, r.ns_min, r.ns_median, r.samples
         );
     }
-    let file = Json::Obj(BTreeMap::from([
+    let mut head = BTreeMap::from([
         ("nproc".to_string(), Json::Int(nproc as i64)),
         ("threads".to_string(), Json::Int(threads as i64)),
         ("pool".to_string(), Json::Bool(pool)),
@@ -299,8 +301,85 @@ pub(crate) fn write_bench_json(
             "records".to_string(),
             Json::Arr(records.iter().map(BenchRecord::to_json).collect()),
         ),
-    ]));
+    ]);
+    if !notes.is_empty() {
+        let notes = notes.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone())));
+        head.insert("notes".to_string(), Json::Obj(notes.collect()));
+    }
+    let file = Json::Obj(head);
     Reporter::new(out_dir).write_text(name, &format!("{}\n", file.encode()))
+}
+
+/// Merges the `BENCH_*.json` files of repeated runs of two builds into
+/// `name` under `out_dir` (through [`write_bench_json`], with `notes`).
+///
+/// `sides` pairs each build's name, the merged records' `config`
+/// (`parent`, `change`), with the files its runs wrote. Each merged record
+/// covers one `(op, shape, threads)` of one build: `ns_min` is the fastest
+/// run's `ns_min`, `ns_median` the median over runs of `ns_min`, and
+/// `samples` the number of runs. Records whose `op` is not in `ops` are
+/// dropped (none when `ops` is empty). Every input must have been written
+/// with this process's `nproc`, `threads`, `pool` and `simd`, which the
+/// merged file records.
+pub fn merge_bench_runs(
+    out_dir: &std::path::Path,
+    name: &str,
+    sides: &[(&'static str, Vec<PathBuf>)],
+    ops: &[String],
+    notes: &[(String, String)],
+) -> gmorph::tensor::Result<()> {
+    let err = |file: &std::path::Path, msg: String| gmorph::tensor::TensorError::InvalidArgument {
+        op: "merge_bench_runs",
+        msg: format!("{}: {msg}", file.display()),
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let here = [
+        ("nproc", Json::Int(nproc as i64)),
+        ("threads", Json::Int(engine::num_threads() as i64)),
+        ("pool", Json::Bool(buffer::enabled())),
+        ("simd", Json::Str(simd::instance().to_string())),
+    ];
+    // (op, shape, threads, side) -> each run's ns_min.
+    let mut runs: BTreeMap<(String, String, usize, usize), Vec<f64>> = BTreeMap::new();
+    for (side, (_, files)) in sides.iter().enumerate() {
+        for file in files {
+            let text = std::fs::read_to_string(file).map_err(|e| err(file, e.to_string()))?;
+            let json = Json::parse(&text).map_err(|e| err(file, e))?;
+            if let Some((key, want)) = here.iter().find(|(k, v)| json.get(k) != Some(v)) {
+                return Err(err(file, format!("{key} is not this machine's {want:?}")));
+            }
+            let Some(Json::Arr(records)) = json.get("records") else {
+                return Err(err(file, "no records array".to_string()));
+            };
+            for r in records {
+                let field = |k: &str| r.get(k).and_then(Json::as_str).map(str::to_string);
+                let num = |k: &str| r.get(k).and_then(Json::as_f64);
+                let (Some(op), Some(shape), Some(threads), Some(ns)) =
+                    (field("op"), field("shape"), num("threads"), num("ns_min"))
+                else {
+                    return Err(err(file, format!("malformed record {r:?}")));
+                };
+                if ops.is_empty() || ops.contains(&op) {
+                    let key = (op, shape, threads as usize, side);
+                    runs.entry(key).or_default().push(ns);
+                }
+            }
+        }
+    }
+    let records: Vec<BenchRecord> = runs
+        .into_iter()
+        .map(|((op, shape, threads, side), mut ns)| {
+            ns.sort_by(f64::total_cmp);
+            let n = ns.len();
+            let timing = Timing {
+                ns_min: ns[0],
+                ns_median: (ns[(n - 1) / 2] + ns[n / 2]) / 2.0,
+                samples: n,
+            };
+            BenchRecord::new(&op, sides[side].0, &shape, threads, timing)
+        })
+        .collect();
+    write_bench_json(out_dir, name, &records, notes)
 }
 
 /// Formats a float with fixed precision for table cells.
@@ -328,7 +407,9 @@ pub(crate) mod tests {
             Json::Obj(m) => m.keys().cloned().collect::<Vec<_>>(),
             other => panic!("not an object: {other:?}"),
         };
-        assert_eq!(keys(&file), ["nproc", "pool", "records", "simd", "threads"]);
+        let mut head = keys(&file);
+        head.retain(|k| k != "notes");
+        assert_eq!(head, ["nproc", "pool", "records", "simd", "threads"]);
         assert!(matches!(file.get("pool"), Some(Json::Bool(_))));
         let simd = file.get("simd").and_then(Json::as_str);
         assert!(matches!(simd, Some("avx2" | "portable")), "{simd:?}");
@@ -387,8 +468,8 @@ pub(crate) mod tests {
         };
         let a = BenchRecord::new("conv_fwd", "pool_on", "n1c1-1s2k3", 1, timing());
         let b = BenchRecord::new("conv_fwd", "pool_on", "n1c1-1s2k3", 2, timing());
-        write_bench_json(&dir, "ok.json", &[a.clone(), b]).unwrap();
-        let err = write_bench_json(&dir, "dup.json", &[a.clone(), a]).unwrap_err();
+        write_bench_json(&dir, "ok.json", &[a.clone(), b], &[]).unwrap();
+        let err = write_bench_json(&dir, "dup.json", &[a.clone(), a], &[]).unwrap_err();
         assert!(err.to_string().contains("share the key"), "{err}");
         assert!(!dir.join("dup.json").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -399,10 +480,79 @@ pub(crate) mod tests {
         let file = std::env::temp_dir().join(format!("gmorph-not-a-dir-{}", std::process::id()));
         std::fs::write(&file, "a regular file").unwrap();
         let out = file.join("out");
-        let err = write_bench_json(&out, "BENCH_x.json", &[]).unwrap_err();
+        let err = write_bench_json(&out, "BENCH_x.json", &[], &[]).unwrap_err();
         assert!(err.to_string().contains("could not write"), "{err}");
         assert!(Reporter::new(&out).write_csv("t.csv", &["a"], &[]).is_err());
         std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn merged_runs_keep_each_builds_min_and_median() {
+        let dir = std::env::temp_dir().join(format!("gmorph-merge-{}", std::process::id()));
+        let run = |name: &str, ns: f64| {
+            let t = Timing {
+                ns_min: ns,
+                ns_median: ns + 1.0,
+                samples: 3,
+            };
+            let records = [
+                BenchRecord::new("gemm_small", "pool_on", "nt-12x48x48", 1, t),
+                BenchRecord::new("conv_fwd", "pool_on", "l1", 1, t),
+            ];
+            write_bench_json(&dir, name, &records, &[]).unwrap();
+            dir.join(name)
+        };
+        let sides = [
+            ("parent", vec![run("p1.json", 10.0), run("p2.json", 12.0)]),
+            (
+                "change",
+                vec![
+                    run("c1.json", 3.0),
+                    run("c2.json", 2.0),
+                    run("c3.json", 4.0),
+                ],
+            ),
+        ];
+        let notes = [("serve".to_string(), "medians".to_string())];
+        merge_bench_runs(&dir, "m.json", &sides, &["gemm_small".to_string()], &notes).unwrap();
+        assert_eq!(
+            read_bench_json(&dir.join("m.json")),
+            [
+                ("gemm_small".into(), "parent".into()),
+                ("gemm_small".into(), "change".into())
+            ]
+        );
+        let file = Json::parse(&std::fs::read_to_string(dir.join("m.json")).unwrap()).unwrap();
+        let Some(Json::Arr(records)) = file.get("records") else {
+            panic!("no records");
+        };
+        let ns = |r: &Json, k: &str| r.get(k).and_then(Json::as_f64).unwrap();
+        assert_eq!(
+            [ns(&records[0], "ns_min"), ns(&records[0], "ns_median")],
+            [10.0, 11.0]
+        );
+        assert_eq!(
+            [ns(&records[1], "ns_min"), ns(&records[1], "ns_median")],
+            [2.0, 3.0]
+        );
+        assert_eq!(ns(&records[0], "samples"), 2.0);
+        assert_eq!(
+            file.get("notes")
+                .and_then(|n| n.get("serve"))
+                .and_then(Json::as_str),
+            Some("medians")
+        );
+        // A run from another machine or thread count is refused.
+        let text = std::fs::read_to_string(dir.join("p1.json")).unwrap();
+        let other = dir.join("other.json");
+        std::fs::write(&other, text.replace("\"nproc\":", "\"nproc\":1000")).unwrap();
+        let sides = [
+            ("parent", vec![other]),
+            ("change", vec![dir.join("c1.json")]),
+        ];
+        let err = merge_bench_runs(&dir, "x.json", &sides, &[], &[]).unwrap_err();
+        assert!(err.to_string().contains("nproc"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn run(opts: &ExperimentOpts) -> gmorph::tensor::Result<()> {
         "speedups: conv_forward {conv_speedup:.2}x, finetune_step {step_speedup:.2}x, \
          fused_eval {fused_speedup:.2}x"
     );
-    write_bench_json(&opts.out_dir, "BENCH_alloc.json", &records)
+    write_bench_json(&opts.out_dir, "BENCH_alloc.json", &records, &[])
 }
 
 #[cfg(test)]
