@@ -58,11 +58,11 @@ fn parse_args() -> Result<(Vec<String>, ExperimentOpts), String> {
                     .ok_or("--iters needs a usize")?;
             }
             "--mode" => {
-                opts.mode = match args.next().as_deref() {
-                    Some("real") => AccuracyMode::Real,
-                    Some("surrogate") => AccuracyMode::Surrogate,
-                    other => return Err(format!("unknown mode {other:?}")),
-                };
+                let v = args.next();
+                opts.mode = v
+                    .as_deref()
+                    .and_then(AccuracyMode::parse)
+                    .ok_or(format!("unknown mode {v:?}"))?;
             }
             "--out" => {
                 opts.out_dir = args.next().ok_or("--out needs a path")?.into();

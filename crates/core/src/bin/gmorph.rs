@@ -1,26 +1,25 @@
 //! The `gmorph` command-line tool.
 //!
 //! ```text
-//! gmorph optimize --bench B1 [--config FILE] [--threshold 0.01]
-//!                 [--mode real|surrogate] [--iterations N] [--seed N]
-//!                 [--batch-size K] [--throughput FLOPS] [--render]
-//!                 [--trace PATH] [--quiet]
-//!                 [--checkpoint-dir DIR] [--checkpoint-every K] [--resume]
-//!                 [--max-retries N] [--candidate-deadline-ms MS]
-//!                 [--grad-clip NORM]
+//! gmorph optimize --bench B1 [--config FILE] [--some-key VALUE]...
+//!                 [--throughput FLOPS] [--render] [--trace PATH] [--quiet]
 //! gmorph benchmarks
-//! gmorph baselines --bench B1
+//! gmorph baselines --bench B1 [--seed N]
 //! gmorph trace-validate PATH
 //! gmorph checkpoint-inspect PATH
 //! gmorph trace-diff A B
 //! ```
 //!
 //! `optimize` prepares a benchmark session (training or loading cached
-//! teachers) and runs graph mutation optimization; `--config` reads the
-//! paper-style configuration file (see `gmorph::configfile`), with
-//! command-line flags overriding file values. `--batch-size K` runs K
-//! candidates per search round, fine-tuned in parallel (the paper's §7
-//! parallel simulated annealing; the default 1 is sequential search).
+//! teachers) and runs graph mutation optimization. Its settings are the
+//! keys of the paper-style configuration file (`gmorph::configfile` lists
+//! them and their defaults). `--config FILE` reads such a file; then each
+//! `--some-key VALUE` flag sets the key `some_key`, in command-line order,
+//! and a boolean key's flag takes no value and sets it true (`--resume`).
+//! `--candidates-per-round K` runs K candidates per search round,
+//! fine-tuned in parallel (the paper's §7 parallel simulated annealing;
+//! the default 1 is sequential search). `--throughput FLOPS` sets the
+//! virtual clock's training throughput.
 //!
 //! `--checkpoint-dir DIR` makes the search crash-safe: its full state is
 //! snapshotted into DIR every `--checkpoint-every` iterations (and on
@@ -76,25 +75,15 @@ impl From<std::io::Error> for Failure {
     }
 }
 
+#[derive(Default)]
 struct Cli {
     command: String,
     bench: Option<BenchId>,
-    config: Option<std::path::PathBuf>,
-    threshold: Option<f32>,
-    mode: Option<AccuracyMode>,
-    iterations: Option<usize>,
-    seed: Option<u64>,
-    batch_size: Option<usize>,
-    throughput: Option<f64>,
-    trace: Option<std::path::PathBuf>,
-    quiet: bool,
+    /// The search settings: the `--config` file's, then the flags'.
+    cfg: OptimizationConfig,
+    /// `--throughput`, `--trace` and `--quiet`; the seed is `cfg`'s.
+    session: SessionConfig,
     render: bool,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    checkpoint_every: Option<usize>,
-    resume: bool,
-    max_retries: Option<usize>,
-    candidate_deadline_ms: Option<u64>,
-    grad_clip: Option<f32>,
     /// Positional arguments (files for `trace-validate` / `trace-diff`).
     target: Option<std::path::PathBuf>,
     target2: Option<std::path::PathBuf>,
@@ -104,7 +93,7 @@ struct Cli {
 /// hard results and errors print unconditionally.
 macro_rules! say {
     ($cli:expr, $out:expr, $($t:tt)*) => {
-        if !$cli.quiet {
+        if !$cli.session.quiet {
             writeln!($out, $($t)*)?;
         }
     };
@@ -113,28 +102,13 @@ macro_rules! say {
 fn parse_cli() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or("missing command")?;
+    let (cfg, rest) = configfile::parse_args(args)?;
     let mut cli = Cli {
         command,
-        bench: None,
-        config: None,
-        threshold: None,
-        mode: None,
-        iterations: None,
-        seed: None,
-        batch_size: None,
-        throughput: None,
-        trace: None,
-        quiet: false,
-        render: false,
-        checkpoint_dir: None,
-        checkpoint_every: None,
-        resume: false,
-        max_retries: None,
-        candidate_deadline_ms: None,
-        grad_clip: None,
-        target: None,
-        target2: None,
+        cfg,
+        ..Default::default()
     };
+    let mut args = rest.into_iter();
     while let Some(arg) = args.next() {
         let mut take = |what: &str| args.next().ok_or(format!("{what} needs a value"));
         match arg.as_str() {
@@ -142,72 +116,13 @@ fn parse_cli() -> Result<Cli, String> {
                 let v = take("--bench")?;
                 cli.bench = Some(BenchId::parse(&v).ok_or(format!("unknown benchmark {v}"))?);
             }
-            "--config" => cli.config = Some(take("--config")?.into()),
-            "--threshold" => {
-                cli.threshold = Some(take("--threshold")?.parse().map_err(|_| "bad threshold")?)
-            }
-            "--mode" => {
-                cli.mode = Some(match take("--mode")?.as_str() {
-                    "real" => AccuracyMode::Real,
-                    "surrogate" => AccuracyMode::Surrogate,
-                    other => return Err(format!("unknown mode {other}")),
-                })
-            }
-            "--iterations" => {
-                cli.iterations = Some(
-                    take("--iterations")?
-                        .parse()
-                        .map_err(|_| "bad iterations")?,
-                )
-            }
-            "--seed" => cli.seed = Some(take("--seed")?.parse().map_err(|_| "bad seed")?),
-            "--batch-size" => {
-                cli.batch_size = Some(
-                    take("--batch-size")?
-                        .parse()
-                        .map_err(|_| "bad batch size")?,
-                )
-            }
             "--throughput" => {
-                cli.throughput = Some(
-                    take("--throughput")?
-                        .parse()
-                        .map_err(|_| "bad throughput")?,
-                )
+                let v = take("--throughput")?;
+                cli.session.virtual_throughput = v.parse().map_err(|_| "bad throughput")?;
             }
-            "--trace" => cli.trace = Some(take("--trace")?.into()),
-            "--quiet" => cli.quiet = true,
+            "--trace" => cli.session.trace = Some(take("--trace")?.into()),
+            "--quiet" => cli.session.quiet = true,
             "--render" => cli.render = true,
-            "--checkpoint-dir" => cli.checkpoint_dir = Some(take("--checkpoint-dir")?.into()),
-            "--checkpoint-every" => {
-                cli.checkpoint_every = Some(
-                    take("--checkpoint-every")?
-                        .parse()
-                        .map_err(|_| "bad checkpoint-every")?,
-                )
-            }
-            "--resume" => cli.resume = true,
-            "--max-retries" => {
-                cli.max_retries = Some(
-                    take("--max-retries")?
-                        .parse()
-                        .map_err(|_| "bad max-retries")?,
-                )
-            }
-            "--candidate-deadline-ms" => {
-                cli.candidate_deadline_ms = Some(
-                    take("--candidate-deadline-ms")?
-                        .parse()
-                        .map_err(|_| "bad candidate-deadline-ms")?,
-                )
-            }
-            "--grad-clip" => {
-                let v: f32 = take("--grad-clip")?.parse().map_err(|_| "bad grad-clip")?;
-                if !v.is_finite() || v <= 0.0 {
-                    return Err("grad-clip must be a positive finite norm".to_string());
-                }
-                cli.grad_clip = Some(v);
-            }
             other if !other.starts_with('-') && cli.target.is_none() => {
                 cli.target = Some(other.into());
             }
@@ -241,8 +156,9 @@ fn cmd_benchmarks(out: &mut impl Write) -> std::io::Result<()> {
     Ok(())
 }
 
-fn cmd_baselines(out: &mut impl Write, bench: BenchId, seed: u64) -> Result<(), Failure> {
-    let b = build_benchmark(bench, &DataProfile::standard(), seed)?;
+fn cmd_baselines(cli: &Cli, out: &mut impl Write) -> Result<(), Failure> {
+    let bench = cli.bench.ok_or("baselines needs --bench")?;
+    let b = build_benchmark(bench, &DataProfile::standard(), cli.cfg.seed)?;
     let prefix = baselines::common_prefix_len(&b.paper);
     writeln!(out, "{bench}: identical common prefix = {prefix} blocks")?;
     let original = gmorph::graph::parser::parse_specs(&b.paper)?;
@@ -290,62 +206,20 @@ fn cmd_trace_validate(cli: &Cli, out: &mut impl Write) -> Result<(), Failure> {
 
 fn cmd_optimize(cli: &Cli, out: &mut impl Write) -> Result<(), Failure> {
     let bench_id = cli.bench.ok_or("optimize needs --bench")?;
-    let mut cfg = match &cli.config {
-        Some(path) => configfile::load(path).map_err(|e| e.to_string())?,
-        None => OptimizationConfig::default(),
-    };
-    if let Some(t) = cli.threshold {
-        cfg.accuracy_threshold = t;
-    }
-    if let Some(m) = cli.mode {
-        cfg.mode = m;
-    }
-    if let Some(i) = cli.iterations {
-        cfg.iterations = i;
-    }
-    if let Some(s) = cli.seed {
-        cfg.seed = s;
-    }
-    if let Some(dir) = &cli.checkpoint_dir {
-        cfg.checkpoint_dir = Some(dir.clone());
-    }
-    if let Some(k) = cli.checkpoint_every {
-        cfg.checkpoint_every = k;
-    }
-    cfg.resume = cfg.resume || cli.resume;
-    if let Some(n) = cli.max_retries {
-        cfg.max_retries = n;
-    }
-    if let Some(ms) = cli.candidate_deadline_ms {
-        cfg.candidate_deadline_ms = Some(ms);
-    }
-    if let Some(c) = cli.grad_clip {
-        cfg.grad_clip = Some(c);
-    }
-    if let Some(k) = cli.batch_size {
-        cfg.candidates_per_round = k;
-    }
-
+    let cfg = &cli.cfg;
     say!(
         cli,
         out,
         "preparing {bench_id} (teachers train once, then cache)..."
     );
-    let bench =
-        build_benchmark(bench_id, &DataProfile::standard(), cfg.seed).map_err(|e| e.to_string())?;
+    let bench = build_benchmark(bench_id, &DataProfile::standard(), cfg.seed)?;
     let session = Session::prepare(
         bench,
         &SessionConfig {
             seed: cfg.seed,
-            trace: cli.trace.clone(),
-            quiet: cli.quiet,
-            virtual_throughput: cli
-                .throughput
-                .unwrap_or(gmorph::perf::clock::DEFAULT_THROUGHPUT),
-            ..Default::default()
+            ..cli.session.clone()
         },
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     for (spec, score) in session.bench.mini.iter().zip(&session.teacher_scores) {
         say!(cli, out, "  teacher {:<28} score {score:.3}", spec.name);
     }
@@ -363,7 +237,7 @@ fn cmd_optimize(cli: &Cli, out: &mut impl Write) -> Result<(), Failure> {
             String::new()
         }
     );
-    let r = session.optimize(&cfg).map_err(|e| e.to_string())?;
+    let r = session.optimize(cfg)?;
     writeln!(
         out,
         "original {:.2} ms -> fused {:.2} ms ({:.2}x)",
@@ -373,7 +247,7 @@ fn cmd_optimize(cli: &Cli, out: &mut impl Write) -> Result<(), Failure> {
     if cli.render {
         writeln!(out, "\n{}", r.best.mini.render())?;
     }
-    if telemetry::enabled() && !cli.quiet {
+    if telemetry::enabled() && !cli.session.quiet {
         write!(out, "\n{}", telemetry::metrics::summary_table())?;
     }
     Ok(())
@@ -406,7 +280,7 @@ fn cmd_checkpoint_inspect(cli: &Cli, out: &mut impl Write) -> Result<(), Failure
     }
     match env.kind.as_str() {
         SEARCH_KIND => {
-            let snap = SearchSnapshot::decode(&env).map_err(|e| e.to_string())?;
+            let snap = SearchSnapshot::decode(&env)?;
             writeln!(out, "  fingerprint   {:#018x}", snap.state.fingerprint)?;
             writeln!(out, "  next iter     {}", snap.state.next_iter)?;
             writeln!(out, "  evaluated     {}", snap.evaluated_count)?;
@@ -557,13 +431,7 @@ fn main() -> ExitCode {
     let mut out = std::io::stdout().lock();
     let outcome = match cli.command.as_str() {
         "benchmarks" => cmd_benchmarks(&mut out).map_err(Failure::from),
-        "baselines" => {
-            let Some(bench) = cli.bench else {
-                eprintln!("error: baselines needs --bench");
-                return ExitCode::FAILURE;
-            };
-            cmd_baselines(&mut out, bench, cli.seed.unwrap_or(0))
-        }
+        "baselines" => cmd_baselines(&cli, &mut out),
         "optimize" => cmd_optimize(&cli, &mut out),
         "trace-validate" => cmd_trace_validate(&cli, &mut out),
         "checkpoint-inspect" => cmd_checkpoint_inspect(&cli, &mut out),

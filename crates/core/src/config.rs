@@ -19,6 +19,17 @@ pub enum AccuracyMode {
     Surrogate,
 }
 
+impl AccuracyMode {
+    /// Parses `"real"` or `"surrogate"`.
+    pub fn parse(s: &str) -> Option<AccuracyMode> {
+        match s {
+            "real" => Some(AccuracyMode::Real),
+            "surrogate" => Some(AccuracyMode::Surrogate),
+            _ => None,
+        }
+    }
+}
+
 /// Session-level configuration: how teachers are prepared.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {

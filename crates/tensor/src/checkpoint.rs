@@ -428,14 +428,15 @@ pub(crate) fn staging_path(path: &Path) -> std::path::PathBuf {
 }
 
 /// Writes an envelope to `path` atomically: stage into `<path>.tmp`,
-/// flush + fsync, rename over the target. Readers either see the previous
-/// snapshot or the complete new one — never a prefix.
+/// flush + fsync, rename over the target, and on Unix fsync the directory
+/// so that the rename itself survives a power loss. Readers either see
+/// the previous snapshot or the complete new one — never a prefix.
 pub fn save_atomic(path: &Path, envelope: &Envelope) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(io_err)?;
-        }
-    }
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir).map_err(io_err)?;
     let tmp = staging_path(path);
     let bytes = envelope.encode();
     let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
@@ -446,7 +447,12 @@ pub fn save_atomic(path: &Path, envelope: &Envelope) -> Result<()> {
         // Never leave a stale staging file behind a failed publish.
         std::fs::remove_file(&tmp).ok();
         io_err(e)
-    })
+    })?;
+    #[cfg(unix)]
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io_err)?;
+    Ok(())
 }
 
 /// Loads and verifies an envelope, requiring the expected payload `kind`.

@@ -254,8 +254,9 @@ fn batched_resume_is_bit_identical() {
 /// A snapshot written before search schema v3 resumes under this build
 /// to the uninterrupted result. The fixture is the newest file of CI's
 /// resume-smoke run (`gmorph optimize --bench B1 --iterations 24 --mode
-/// surrogate --seed 7 --checkpoint-every 1`, aborted after iteration 12)
-/// as written by a schema-v2 build.
+/// surrogate --seed 7 --checkpoint-dir ckpt --checkpoint-every 1`, or the
+/// same keys in a `--config` file, aborted after iteration 12) as written
+/// by a schema-v2 build.
 #[test]
 fn a_schema_v2_snapshot_resumes_bit_identically() {
     use gmorph::search::checkpoint::{

@@ -326,7 +326,29 @@ fn corrupted_checkpoints_fall_back_never_panic() {
 
 #[test]
 fn config_file_attack_surface() {
-    use gmorph::configfile::parse;
+    use gmorph::configfile::{parse, parse_args};
+    // Every key's flag that takes a value.
+    const FLAGS: &[&str] = &[
+        "--metric",
+        "--accuracy-threshold",
+        "--iterations",
+        "--candidates-per-round",
+        "--mode",
+        "--policy",
+        "--pair-policy",
+        "--max-epochs",
+        "--eval-every",
+        "--lr",
+        "--batch",
+        "--max-ops-per-pass",
+        "--sa-alpha",
+        "--seed",
+        "--checkpoint-dir",
+        "--checkpoint-every",
+        "--max-retries",
+        "--candidate-deadline-ms",
+        "--grad-clip",
+    ];
     // Pathological inputs must error or parse, never panic.
     let cases = [
         "= = =",
@@ -393,6 +415,10 @@ fn config_file_attack_surface() {
         }
         let _ = parse(&text);
         let _ = gmorph::telemetry::json::Json::parse(&text);
+        // The same string as the value of each key's flag.
+        for flag in FLAGS {
+            let _ = parse_args([flag.to_string(), text.clone()]);
+        }
     }
 }
 
