@@ -196,8 +196,7 @@ fn gelu_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     let x = Tensor::randn(&[rows, hidden], 1.0, &mut rng);
     let g = Tensor::randn(&[rows, hidden], 1.0, &mut rng);
     let h = Tensor::randn(&[rows, d], 1.0, &mut rng);
-    let mut fc1 = Linear::new(d, hidden, &mut rng);
-    fc1.fused_act = Activation::Gelu;
+    let fc1 = Linear::new(d, hidden, &mut rng);
     let (iters, samples) = if opts.quick { (5, 3) } else { (50, 7) };
     let threads = engine::num_threads();
 
@@ -211,7 +210,7 @@ fn gelu_records(opts: &ExperimentOpts, records: &mut Vec<BenchRecord>) {
     });
     records.push(record("gelu_bwd", &shape, threads, bwd));
     let lin = time_ns(iters, samples, || {
-        black_box(fc1.forward(black_box(&h), Mode::Eval).unwrap());
+        black_box(fc1.infer(black_box(&h), Activation::Gelu).unwrap());
     });
     let shape = format!("{rows}x{d}-{hidden}");
     records.push(record("linear_gelu_eval", &shape, threads, lin));

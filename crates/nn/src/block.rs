@@ -20,7 +20,7 @@ use crate::layers::{
 use crate::param::Parameter;
 use crate::Mode;
 use gmorph_tensor::interp::{resize2d_backward, resize2d_forward, InterpMode};
-use gmorph_tensor::ops;
+use gmorph_tensor::ops::{self, Activation};
 use gmorph_tensor::pool::{
     global_avgpool_backward, global_avgpool_forward, maxpool2d_backward, maxpool2d_forward,
     MaxPoolForward,
@@ -338,31 +338,25 @@ impl Block {
     /// Forward pass over a batched tensor.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         match self {
+            // Eval forwards apply the activation in the kernel epilogue;
+            // training keeps the pre-activation for backward.
+            Block::ConvRelu { conv, .. } if mode == Mode::Eval => conv.infer(x, Activation::Relu),
             Block::ConvRelu { conv, cache_pre } => {
                 let pre = conv.forward(x, mode)?;
-                if mode == Mode::Eval && conv.fused_act != ops::Activation::None {
-                    // The compile pass moved the activation into the conv
-                    // epilogue; the conv output already is the block output.
-                    return Ok(pre);
-                }
                 let y = ops::relu_forward(&pre);
-                if mode == Mode::Train {
-                    *cache_pre = Some(pre);
-                }
+                *cache_pre = Some(pre);
                 Ok(y)
+            }
+            // A folded norm is the identity in eval.
+            Block::ConvBnRelu { conv, bn, .. } if mode == Mode::Eval && bn.fused => {
+                conv.infer(x, Activation::Relu)
             }
             Block::ConvBnRelu {
                 conv,
                 bn,
                 cache_pre,
             } => {
-                if mode == Mode::Eval && bn.fused && conv.fused_act != ops::Activation::None {
-                    // BN was folded into the conv (identity in eval) and the
-                    // ReLU fused into the conv epilogue.
-                    return conv.forward(x, mode);
-                }
-                let c = conv.forward(x, mode)?;
-                let pre = bn.forward(&c, mode)?;
+                let pre = bn.forward(&conv.forward(x, mode)?, mode)?;
                 let y = ops::relu_forward(&pre);
                 if mode == Mode::Train {
                     *cache_pre = Some(pre);
@@ -417,18 +411,16 @@ impl Block {
                 let a = attn.forward(&h1.reshape(&[n, t, d])?, mode)?;
                 let r1 = x2.add(&a.reshape(&[n * t, d])?)?;
                 let h2 = ln2.forward(&r1, mode)?;
-                let mlp_pre = fc1.forward(&h2, mode)?;
-                let m = if mode == Mode::Eval && fc1.fused_act != ops::Activation::None {
-                    // GELU already applied in the fc1 GEMM epilogue.
-                    fc2.forward(&mlp_pre, mode)?
-                } else {
-                    fc2.forward(&ops::gelu_forward(&mlp_pre), mode)?
+                let h = match mode {
+                    Mode::Eval => fc1.infer(&h2, Activation::Gelu)?,
+                    Mode::Train => {
+                        let mlp_pre = fc1.forward(&h2, mode)?;
+                        let h = ops::gelu_forward(&mlp_pre);
+                        *cache = Some(TransformerCache { n, t, mlp_pre });
+                        h
+                    }
                 };
-                let y2 = r1.add(&m)?;
-                if mode == Mode::Train {
-                    *cache = Some(TransformerCache { n, t, mlp_pre });
-                }
-                y2.reshape(&[n, t, d])
+                r1.add(&fc2.forward(&h, mode)?)?.reshape(&[n, t, d])
             }
             Block::PatchEmbedB(pe) => pe.forward(x, mode),
             Block::TokenEmbedB(te) => te.forward(x, mode),

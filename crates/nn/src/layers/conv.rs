@@ -22,12 +22,6 @@ pub struct Conv2d {
     pub bias: Parameter,
     /// Kernel/stride/padding geometry.
     pub geom: Conv2dGeom,
-    /// Activation fused into the conv epilogue during *eval* forwards.
-    ///
-    /// Set by the inference compile pass; no effect in `Mode::Train`,
-    /// where the block-level activation (and its pre-activation cache)
-    /// runs separately for backward.
-    pub fused_act: Activation,
     cache: Option<(Conv2dForward, Vec<usize>)>,
 }
 
@@ -51,7 +45,6 @@ impl Conv2d {
             )),
             bias: Parameter::new(Tensor::zeros(&[out_channels])),
             geom,
-            fused_act: Activation::None,
             cache: None,
         })
     }
@@ -69,8 +62,7 @@ impl Conv2d {
     /// Forward pass over `[N, C_in, H, W]`.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         if mode == Mode::Eval {
-            let (w, b) = (&self.weight.value, Some(&self.bias.value));
-            return conv2d_infer_act(x, w, b, self.geom, self.fused_act);
+            return self.infer(x, Activation::None);
         }
         // Recycle last iteration's columns before this forward checks out
         // its own: the same-sized buffer comes straight back, so
@@ -83,6 +75,13 @@ impl Conv2d {
         let out = std::mem::replace(&mut fwd.output, Tensor::zeros(&[0]));
         self.cache = Some((fwd, x.dims().to_vec()));
         Ok(out)
+    }
+
+    /// Eval forward with `act` applied in the conv epilogue, after the
+    /// bias. Caches nothing.
+    pub fn infer(&self, x: &Tensor, act: Activation) -> Result<Tensor> {
+        let (w, b) = (&self.weight.value, Some(&self.bias.value));
+        conv2d_infer_act(x, w, b, self.geom, act)
     }
 
     /// Backward pass: accumulates filter/bias gradients and returns dX.

@@ -30,13 +30,6 @@ pub struct Linear {
     pub weight: Parameter,
     /// Bias vector `[out]`.
     pub bias: Parameter,
-    /// Activation fused into the GEMM epilogue during *eval* forwards.
-    ///
-    /// Set by the inference compile pass ([`gmorph_perf`]'s epilogue
-    /// fusion); has no effect in `Mode::Train`, where the separate
-    /// activation pass (and its pre-activation cache) is required for
-    /// backward.
-    pub fused_act: Activation,
     cache_x: Option<Tensor>,
 }
 
@@ -51,7 +44,6 @@ impl Linear {
                 rng,
             )),
             bias: Parameter::new(Tensor::zeros(&[out_features])),
-            fused_act: Activation::None,
             cache_x: None,
         }
     }
@@ -68,6 +60,16 @@ impl Linear {
 
     /// Forward pass over `[M, in]`, producing `[M, out]`.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        let y = self.infer(x, Activation::None)?;
+        if mode == Mode::Train {
+            self.cache_x = Some(x.clone());
+        }
+        Ok(y)
+    }
+
+    /// Eval forward `act(x Wᵀ + b)`, the bias-add and `act` applied in the
+    /// GEMM write loop. Caches nothing.
+    pub fn infer(&self, x: &Tensor, act: Activation) -> Result<Tensor> {
         if x.shape().rank() != 2 || x.dims()[1] != self.in_features() {
             return Err(TensorError::ShapeMismatch {
                 op: "Linear::forward",
@@ -75,19 +77,7 @@ impl Linear {
                 rhs: x.shape().to_string(),
             });
         }
-        // The bias-add always runs in the GEMM write loop; the fused
-        // activation additionally applies during eval forwards when the
-        // compile pass requested it.
-        let act = if mode == Mode::Eval {
-            self.fused_act
-        } else {
-            Activation::None
-        };
-        let y = gemm::matmul_nt_bias_act(x, &self.weight.value, Some(&self.bias.value), act)?;
-        if mode == Mode::Train {
-            self.cache_x = Some(x.clone());
-        }
-        Ok(y)
+        gemm::matmul_nt_bias_act(x, &self.weight.value, Some(&self.bias.value), act)
     }
 
     /// Backward pass: accumulates dW, db and returns dX.

@@ -18,7 +18,7 @@ use gmorph_tensor::{buffer, engine, gemm, Tensor};
 /// Serializes tests that flip the process-wide pool switch.
 static POOL_GATE: Mutex<()> = Mutex::new(());
 
-fn unfused_act(t: &Tensor, act: Activation) -> Tensor {
+fn separate_act(t: &Tensor, act: Activation) -> Tensor {
     match act {
         Activation::None => t.clone(),
         Activation::Relu => relu_forward(t),
@@ -46,7 +46,7 @@ fn fused_gemm_epilogue_is_bit_exact() {
                 if let Some(b) = bias {
                     gemm::add_bias_rows(&mut plain, b).unwrap();
                 }
-                let reference = unfused_act(&plain, act);
+                let reference = separate_act(&plain, act);
                 assert_eq!(
                     fused.data(),
                     reference.data(),
@@ -69,7 +69,7 @@ fn fused_gemm_nt_epilogue_is_bit_exact() {
             let fused = gemm::matmul_nt_bias_act(&a, &b, Some(&bias), act).unwrap();
             let mut plain = gemm::matmul_nt(&a, &b).unwrap();
             gemm::add_bias_rows(&mut plain, &bias).unwrap();
-            let reference = unfused_act(&plain, act);
+            let reference = separate_act(&plain, act);
             assert_eq!(fused.data(), reference.data(), "nt {m}x{k}x{n} act {act:?}");
         }
     }
@@ -88,7 +88,7 @@ fn fused_conv_epilogue_is_bit_exact() {
             for bias in [None, Some(&bias)] {
                 let fused = conv2d_forward_act(&x, &wt, bias, geom, act).unwrap();
                 let plain = conv2d_forward(&x, &wt, bias, geom).unwrap();
-                let reference = unfused_act(&plain.output, act);
+                let reference = separate_act(&plain.output, act);
                 assert_eq!(
                     fused.output.data(),
                     reference.data(),
