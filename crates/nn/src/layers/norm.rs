@@ -64,6 +64,9 @@ impl BatchNorm2d {
                 rhs: x.shape().to_string(),
             });
         }
+        if mode == Mode::Eval && self.fused {
+            return Ok(x.clone());
+        }
         let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
         let plane = h * w;
         let m = (n * plane) as f32;
@@ -111,9 +114,6 @@ impl BatchNorm2d {
                 });
             }
             Mode::Eval => {
-                if self.fused {
-                    return Ok(x.clone());
-                }
                 for ch in 0..c {
                     let mean = self.running_mean.data()[ch];
                     let inv_std = 1.0 / (self.running_var.data()[ch] + EPS).sqrt();
