@@ -32,7 +32,9 @@
 //! ```
 //!
 //! Unknown keys are rejected (catching typos beats silently ignoring
-//! them); omitted keys keep their defaults.
+//! them); omitted keys keep their defaults. A zero `candidates_per_round`,
+//! `eval_every`, `batch`, `max_ops_per_pass` or `checkpoint_every` is
+//! rejected too, as is an `sa_alpha` outside (0, 1].
 //!
 //! The same keys are command-line flags ([`parse_args`]): `--some-key
 //! value` sets the key `some_key`, and a boolean key's flag takes no
@@ -83,6 +85,16 @@ fn number<T: std::str::FromStr>(v: &str) -> std::result::Result<T, String> {
         .map_err(|_| format!("expected a number, got {v:?}"))
 }
 
+/// A number above zero, for the counts a zero would silently run as one.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(
+    v: &str,
+) -> std::result::Result<T, String> {
+    match number(v)? {
+        x if x > T::default() => Ok(x),
+        _ => Err(format!("expected a positive number, got {v:?}")),
+    }
+}
+
 fn boolean(v: &str) -> std::result::Result<bool, String> {
     match v {
         "true" | "yes" | "1" | "on" => Ok(true),
@@ -121,7 +133,7 @@ const KEYS: &[Key] = &[
     key!("metric", objective, |v| one_of(v, METRICS)),
     key!(accuracy_threshold, number),
     key!(iterations, number),
-    key!(candidates_per_round, number),
+    key!(candidates_per_round, positive),
     key!(mode, |v| AccuracyMode::parse(v)
         .ok_or(format!("expected real | surrogate, got {v:?}"))),
     key!(policy, |v| one_of(v, POLICIES)),
@@ -129,14 +141,17 @@ const KEYS: &[Key] = &[
     key!(switch early_termination),
     key!(pair_policy, |v| one_of(v, PAIR_POLICIES)),
     key!(max_epochs, number),
-    key!(eval_every, number),
+    key!(eval_every, positive),
     key!(lr, number),
-    key!(batch, number),
-    key!(max_ops_per_pass, number),
-    key!(sa_alpha, number),
+    key!(batch, positive),
+    key!(max_ops_per_pass, positive),
+    key!(sa_alpha, |v| match number::<f32>(v)? {
+        x if x > 0.0 && x <= 1.0 => Ok(x),
+        _ => Err(format!("expected a number in (0, 1], got {v:?}")),
+    }),
     key!(seed, number),
     key!(checkpoint_dir, |v: &str| Ok(Some(v.into()))),
-    key!(checkpoint_every, number),
+    key!(checkpoint_every, positive),
     key!(switch resume),
     key!(max_retries, number),
     key!(candidate_deadline_ms, |v| number(v).map(Some)),
@@ -297,6 +312,30 @@ seed = 42
         // Error names the line.
         let err = parse("seed = 1\nnope = 2\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+        // A zero count would run as one, and the annealing factor must lie
+        // in (0, 1]; each error names the key and the value.
+        for (key, value) in [
+            ("candidates_per_round", "0"),
+            ("eval_every", "0"),
+            ("batch", "0"),
+            ("max_ops_per_pass", "0"),
+            ("checkpoint_every", "0"),
+            ("sa_alpha", "nan"),
+            ("sa_alpha", "inf"),
+            ("sa_alpha", "0"),
+            ("sa_alpha", "-0.5"),
+            ("sa_alpha", "1.01"),
+        ] {
+            let err = parse(&format!("{key} = {value}\n"))
+                .unwrap_err()
+                .to_string();
+            let named = format!("{key}: expected");
+            assert!(
+                err.contains(&named) && err.contains(&format!("{value:?}")),
+                "{err}"
+            );
+        }
+        assert_eq!(parse("sa_alpha = 1\n").unwrap().sa_alpha, 1.0);
     }
 
     #[test]
@@ -445,6 +484,14 @@ seed = 42
                 "--grad-clip: expected a positive finite norm",
             ),
             (&["--mode", "fast"], "--mode: expected real | surrogate"),
+            (
+                &["--batch", "0"],
+                "--batch: expected a positive number, got \"0\"",
+            ),
+            (
+                &["--sa-alpha", "NaN"],
+                "--sa-alpha: expected a number in (0, 1], got \"NaN\"",
+            ),
             (&["--config"], "--config needs a value"),
             (
                 &["--config", "/nonexistent/gmorph.conf"],
