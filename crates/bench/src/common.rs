@@ -311,7 +311,7 @@ pub(crate) fn write_bench_json(
 }
 
 /// Merges the `BENCH_*.json` files of repeated runs of two builds into
-/// `name` under `out_dir` (through [`write_bench_json`], with `notes`).
+/// `name` under `out_dir` (through `write_bench_json`, with `notes`).
 ///
 /// `sides` pairs each build's name, the merged records' `config`
 /// (`parent`, `change`), with the files its runs wrote. Each merged record

@@ -142,7 +142,7 @@ impl MultiTaskDataset {
 
     /// Produces shuffled batch index lists covering all samples.
     ///
-    /// The last batch may be smaller. Use [`MultiTaskDataset::subset`] or
+    /// The last batch may be smaller. Use `MultiTaskDataset::subset` or
     /// `inputs.select_rows` to materialize each batch.
     pub fn batch_indices(&self, batch: usize, rng: &mut Rng) -> Vec<Vec<usize>> {
         let mut ix: Vec<usize> = (0..self.len()).collect();

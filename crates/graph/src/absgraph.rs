@@ -17,7 +17,7 @@ pub struct AbsNode {
     pub task_id: usize,
     /// Topological order of the node within its original DNN. Synthetic
     /// nodes inserted by mutation (re-scale adapters) get ids ≥
-    /// [`AbsGraph::SYNTHETIC_BASE`].
+    /// `AbsGraph::SYNTHETIC_BASE`.
     pub op_id: usize,
     /// Coarse operator type.
     pub op_type: OpType,

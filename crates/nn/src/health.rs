@@ -16,7 +16,7 @@
 //!    gradient makes the norm NaN, so the norm doubles as a whole-model
 //!    non-finite probe. Clipping rescales by `max_norm / norm`, a positive
 //!    scalar, so gradient *direction* is preserved exactly.
-//! 3. **Slice scans** ([`observe_slice`]) — O(n) scans of activations at
+//! 3. **Slice scans** (`observe_slice`) — O(n) scans of activations at
 //!    low-frequency sites (attention outputs).
 //!    Report-only: they never panic, even in debug builds, because the
 //!    search intentionally feeds graphs that may misbehave; containment is
@@ -230,7 +230,7 @@ pub enum GradVerdict {
 ///
 /// Routine clipping (finite norm above `grad_clip`) bumps the
 /// `health.grad_clip` counter but is not a violation; non-finite or
-/// diverged norms (above [`DIVERGENCE_THRESHOLD`]) emit an `eval.health`
+/// diverged norms (above `DIVERGENCE_THRESHOLD`) emit an `eval.health`
 /// event and halt the candidate.
 pub fn grad_verdict(cfg: &HealthConfig, site: &'static str, norm: f32) -> GradVerdict {
     if !norm.is_finite() {

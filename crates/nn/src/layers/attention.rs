@@ -19,7 +19,7 @@ const PAR_MIN: usize = 1 << 16;
 ///
 /// This is the attention used by the TinyViT/TinyBERT models in the zoo.
 /// Heads are computed with explicit per-(sample, head) GEMMs, dispatched
-/// across the shared worker pool when there is enough work ([`PAR_MIN`]);
+/// across the shared worker pool when there is enough work (`PAR_MIN`);
 /// results are gathered in `(sample, head)` order, so outputs are identical
 /// at any thread count.
 #[derive(Debug, Clone)]

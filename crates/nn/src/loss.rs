@@ -6,7 +6,7 @@
 //! features" — is [`weighted_l1_multi`].
 //!
 //! Every loss reports a non-finite result through the numeric-health layer
-//! ([`crate::health::observe_loss`]) — a structured `eval.health` event in
+//! (`crate::health::observe_loss`) — a structured `eval.health` event in
 //! release builds, never a panic — so a divergent candidate is visible to
 //! the search supervisor the step it diverges.
 

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 /// A candidate that met the accuracy target.
 ///
 /// An elite never changes once built: its fields are private to this
-/// crate, which only reads them, and [`History::add_elite`] replaces an
+/// crate, which only reads them, and `History::add_elite` replaces an
 /// evicted elite whole. So a checkpoint encodes each elite once, caches
 /// the record on the elite, and copies it into every later snapshot.
 #[derive(Debug, Clone)]

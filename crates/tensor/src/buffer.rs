@@ -3,8 +3,8 @@
 //! Fine-tuning a candidate runs thousands of forward/backward passes, and
 //! every one of them used to allocate fresh `Vec<f32>`s for GEMM packing
 //! panels, im2col columns, and layer outputs. The pool below recycles
-//! those buffers: [`take`]/[`take_uninit`] check a size-bucketed free list
-//! before falling back to the allocator, and [`give`] (or
+//! those buffers: `take`/`take_uninit` check a size-bucketed free list
+//! before falling back to the allocator, and `give` (or
 //! [`recycle`] for tensors) returns storage for reuse. In steady state a
 //! fine-tuning epoch checks out the same few dozen buffers every
 //! iteration and performs near-zero heap allocation.
@@ -13,7 +13,7 @@
 //! lies in `[2^i, 2^(i+1))`. A request of `len` looks in bucket
 //! `ceil(log2 len)`, whose entries are guaranteed to have
 //! `capacity >= len`. Each bucket is its own mutex-guarded stack, capped
-//! at [`MAX_PER_BUCKET`] entries and [`MAX_POOL_BYTES`] pooled bytes
+//! at `MAX_PER_BUCKET` entries and `MAX_POOL_BYTES` pooled bytes
 //! overall, so a burst of unusually-shaped candidates cannot pin
 //! unbounded memory.
 //!
@@ -201,7 +201,7 @@ pub(crate) fn give(buf: Vec<f32>) {
 /// Recycles a tensor's storage into the pool.
 ///
 /// The hot-loop pattern: a layer replacing last iteration's cached
-/// activations recycles the old tensors, and the next forward's [`take`]
+/// activations recycles the old tensors, and the next forward's `take`
 /// finds them instantly.
 pub fn recycle(t: Tensor) {
     give(t.into_data());

@@ -4,9 +4,9 @@
 //! the GPU: each input window becomes a column, and convolution becomes a
 //! GEMM against the `[C_out, C_in·K·K]` weight matrix. The lowering is
 //! batched: one call packs the weight once and runs the GEMM microkernel
-//! over every sample's columns where they lie ([`gemm::PackedLhs`]), for the
+//! over every sample's columns where they lie (`gemm::PackedLhs`), for the
 //! forward pass (`W · col`) and for dX (`Wᵀ · dY`, then col2im); dW is one
-//! batched reduction ([`gemm::matmul_nt_batch_sum`]). The columns of the
+//! batched reduction (`gemm::matmul_nt_batch_sum`). The columns of the
 //! whole batch live in one `[N, C_in·K·K, OH·OW]` tensor that the backward
 //! pass reuses.
 //!

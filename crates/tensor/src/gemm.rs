@@ -27,7 +27,7 @@
 //!
 //! The seed project's single-threaded loop-order kernels survive in
 //! [`naive`] as a benchmark baseline, a test reference and the kernel of
-//! the products too small to repay packing: [`blocked_pays`] picks the
+//! the products too small to repay packing: `blocked_pays` picks the
 //! kernel from the product's shape. For `k <= KC` both kernels
 //! sum each output element in one chain, from `+0` in ascending `p`, so
 //! the choice never changes a bit.
@@ -863,7 +863,7 @@ crate::simd::dispatch! {
 
 /// The seed project's single-threaded loop-order kernels.
 ///
-/// Kept as the kernel of the products [`blocked_pays`] leaves to them (the
+/// Kept as the kernel of the products `blocked_pays` leaves to them (the
 /// tiniest ones, where packing costs more than it saves), the benchmark
 /// baseline for the blocked engine, and a structurally independent
 /// reference for property tests.

@@ -102,12 +102,12 @@ pub fn relu_backward(grad_out: &Tensor, input: &Tensor) -> Result<Tensor> {
 
 /// GELU forward (tanh approximation, as used by ViT/BERT):
 /// `0.5·x·(1 + tanh(u))` with `u = √(2/π)·(x + 0.044715·x³)`, computed in
-/// the identical sigmoid form `x / (1 + e^(−2u))` (see [`gelu_scalar`]).
+/// the identical sigmoid form `x / (1 + e^(−2u))` (see `gelu_scalar`).
 pub fn gelu_forward(x: &Tensor) -> Tensor {
     par_unary(x, gelu_slice)
 }
 
-/// GELU backward: `g · gelu'(x)` (see [`gelu_grad_scalar`]).
+/// GELU backward: `g · gelu'(x)` (see `gelu_grad_scalar`).
 pub fn gelu_backward(grad_out: &Tensor, input: &Tensor) -> Result<Tensor> {
     par_zip(grad_out, input, gelu_grad_slice)
 }
